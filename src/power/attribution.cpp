@@ -106,7 +106,6 @@ void TransactionTracer::close_txn(int slot, std::uint64_t end_tick) {
   if (h_wait_ != nullptr) {
     h_wait_->observe(static_cast<double>(o.rec.wait_cycles));
   }
-  telemetry::append_txn_spans(spans_, o.rec);
   log_.add(std::move(o.rec));
   o.live = false;
 }
@@ -251,6 +250,15 @@ void TransactionTracer::flush() {
     }
   }
   flushed_ = true;
+}
+
+telemetry::TraceEventLog TransactionTracer::spans() const {
+  telemetry::TraceEventLog spans;
+  spans.reserve(3 * log_.size());  // outer + arb + xfer per record, at most
+  for (const telemetry::TxnRecord& r : log_.records()) {
+    telemetry::append_txn_spans(spans, r);
+  }
+  return spans;
 }
 
 telemetry::TxnSummary TransactionTracer::summary(double total_energy_j) const {

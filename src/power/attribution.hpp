@@ -2,7 +2,7 @@
 // Transaction-scoped power attribution.
 //
 // TransactionTracer observes the same settled per-cycle bus view the
-// power FSM consumes and reconstructs every transfer as a span: which
+// power FSM consumes and reconstructs every transfer as a record: which
 // master owned it, which slave it addressed, how long it waited for the
 // grant, how many beats / wait states / BUSY cycles it took, and what
 // RETRY / SPLIT / ERROR rework it suffered. EnergyAttributor splits the
@@ -20,6 +20,11 @@
 //   s2m      -> data-phase transaction, else bus
 // A re-issued transfer after RETRY appears as a new transaction; the
 // RETRY response is counted on the transaction that received it.
+//
+// The per-cycle path formats nothing: a closed transaction is appended
+// to the record log and nothing else. The Chrome-trace spans are
+// derived from that log at export time (spans()), so no number is
+// rendered until something is written out.
 
 #include <array>
 #include <cstdint>
@@ -96,8 +101,10 @@ public:
   [[nodiscard]] const std::vector<std::uint64_t>& master_txns() const {
     return master_txns_;
   }
-  /// Chrome-trace spans on per-master tracks (telemetry::txn_track_tid).
-  [[nodiscard]] const telemetry::TraceEventLog& spans() const { return spans_; }
+  /// Chrome-trace spans on per-master tracks (telemetry::txn_track_tid),
+  /// built on demand from log() in completion order, parents before
+  /// children. Each call renders the whole log again.
+  [[nodiscard]] telemetry::TraceEventLog spans() const;
   /// Attribution totals + per-transaction stream header for the JSON
   /// exporter; total_energy_j is the caller's FSM total.
   [[nodiscard]] telemetry::TxnSummary summary(double total_energy_j) const;
@@ -139,7 +146,6 @@ private:
   int data_open_ = kNone;
 
   telemetry::TxnTraceLog log_;
-  telemetry::TraceEventLog spans_;
   EnergyAttributor attr_;
   std::vector<std::uint64_t> master_txns_;
 

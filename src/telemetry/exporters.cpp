@@ -1,5 +1,7 @@
 #include "telemetry/exporters.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +34,30 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// Writes v as "%.*g" at `prec` (1..17, a double's most significant
+/// digits) into `buf`; true when it parses back to exactly v.
+bool g_round_trips(char (&buf)[40], int prec, double v) {
+  std::snprintf(buf, sizeof buf, "%.*g", std::clamp(prec, 1, 17), v);
+  return std::strtod(buf, nullptr) == v;
+}
+
+/// Significant digits of v's shortest round-trip decimal form, e.g. 3
+/// for -1.25e-12.
+int shortest_digits(double v) {
+  char sci[32];
+  const auto res = std::to_chars(sci, sci + sizeof sci, v,
+                                 std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = sci; p != res.ptr && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
+  }
+  return digits;
+}
+
+}  // namespace
+
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   if (v == 0.0) return "0";
@@ -41,12 +67,23 @@ std::string json_number(double v) {
     std::snprintf(buf, sizeof buf, "%.0f", v);
     return buf;
   }
-  // Shortest precision that round-trips. Deterministic for a given
-  // value on every IEEE-754 platform.
+  // The %.*g form at the lowest precision that round-trips.
+  // Deterministic for a given value on every IEEE-754 platform.
+  //
+  // std::to_chars gives that precision without a search: no decimal
+  // with fewer significant digits than its shortest form parses back
+  // to v, so every lower %.*g precision fails and the first one that
+  // can succeed is its digit count. Checking that this precision
+  // round-trips and that one digit fewer does not keeps the output
+  // equal to the search below, which remains the fallback.
   char buf[40];
+  const int digits = shortest_digits(v);
+  if (g_round_trips(buf, digits, v)) {
+    char shorter[40];
+    if (digits == 1 || !g_round_trips(shorter, digits - 1, v)) return buf;
+  }
   for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    if (g_round_trips(buf, prec, v)) break;
   }
   return buf;
 }

@@ -76,6 +76,7 @@ public:
                                  start_tick, dur_ticks, tid,
                                  std::move(args_json)});
   }
+  void reserve(std::size_t n) { events_.reserve(n); }
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }

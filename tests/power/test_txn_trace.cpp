@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "ahb/ahb.hpp"
@@ -32,6 +34,7 @@ constexpr std::uint8_t kNonSeq = 2;
 constexpr std::uint8_t kSeq = 3;
 constexpr std::uint8_t kRespOkay = 0;
 constexpr std::uint8_t kRespRetry = 2;
+constexpr std::uint8_t kRespSplit = 3;
 
 // Every synthetic cycle spends the same per-block joules, so totals are
 // easy to count by hand: 15 J per cycle, split 1/2/4/8.
@@ -184,6 +187,94 @@ TEST(TxnTracer, RetryReissueIsANewTransaction) {
   EXPECT_EQ(second.retries, 0u);
   EXPECT_EQ(second.data_beats, 1u);
   EXPECT_EQ(tracer.master_txns()[0], 2u);
+}
+
+TEST(TxnTracer, SpansAreDerivedFromTheLogInOrder) {
+  TransactionTracer tracer = make_tracer();
+
+  // Master 1 waits a cycle for the bus, gets a RETRY and re-issues.
+  tracer.on_cycle(idle_cycle(0, /*req=*/1u << 1), kE);
+  tracer.on_cycle(addr_cycle(1, kNonSeq, 0, true), kE);
+  CycleView v = idle_cycle(1);
+  add_data_phase(v, 1, 0, true, /*hready=*/false, kRespRetry);
+  tracer.on_cycle(v, kE);
+  v = idle_cycle(1);
+  add_data_phase(v, 1, 0, true, /*hready=*/true, kRespRetry);
+  tracer.on_cycle(v, kE);
+  tracer.on_cycle(addr_cycle(1, kNonSeq, 0, true), kE);
+  v = idle_cycle(1);
+  add_data_phase(v, 1, 0, true, true);
+  tracer.on_cycle(v, kE);
+  // Master 0 reads an INCR4 burst with a BUSY beat.
+  tracer.on_cycle(addr_cycle(0, kNonSeq, 3, false), kE);
+  v = addr_cycle(0, kSeq, 3, false);
+  add_data_phase(v, 0, 1, false, true);
+  tracer.on_cycle(v, kE);
+  v = addr_cycle(0, kBusy, 3, false);
+  add_data_phase(v, 0, 1, false, true);
+  tracer.on_cycle(v, kE);
+  tracer.on_cycle(addr_cycle(0, kSeq, 3, false), kE);
+  v = addr_cycle(0, kSeq, 3, false);
+  add_data_phase(v, 0, 1, false, true);
+  tracer.on_cycle(v, kE);
+  v = idle_cycle(0);
+  add_data_phase(v, 0, 1, false, true);
+  tracer.on_cycle(v, kE);
+  // Master 2 gets a SPLIT, and its last transfer is still in flight at
+  // the flush.
+  tracer.on_cycle(addr_cycle(2, kNonSeq, 0, false), kE);
+  v = idle_cycle(2);
+  add_data_phase(v, 2, 3, false, /*hready=*/false, kRespSplit);
+  tracer.on_cycle(v, kE);
+  v = idle_cycle(2);
+  add_data_phase(v, 2, 3, false, /*hready=*/true, kRespSplit);
+  tracer.on_cycle(v, kE);
+  tracer.on_cycle(addr_cycle(2, kNonSeq, 0, false), kE);
+  tracer.flush();
+
+  const auto& records = tracer.log().records();
+  auto any = [&records](auto pred) {
+    return std::any_of(records.begin(), records.end(), pred);
+  };
+  ASSERT_TRUE(any([](const auto& r) { return r.retries > 0; }));
+  ASSERT_TRUE(any([](const auto& r) { return r.splits > 0; }));
+  ASSERT_TRUE(any([](const auto& r) { return r.busy_cycles > 0; }));
+  ASSERT_TRUE(any([](const auto& r) { return r.arb_cycles > 0; }));
+
+  telemetry::TraceEventLog want;
+  for (const auto& r : records) telemetry::append_txn_spans(want, r);
+  const telemetry::TraceEventLog got = tracer.spans();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const telemetry::TraceEvent& g = got.events()[i];
+    const telemetry::TraceEvent& w = want.events()[i];
+    EXPECT_EQ(g.name, w.name) << "event " << i;
+    EXPECT_EQ(g.category, w.category) << "event " << i;
+    EXPECT_EQ(g.start_tick, w.start_tick) << "event " << i;
+    EXPECT_EQ(g.dur_ticks, w.dur_ticks) << "event " << i;
+    EXPECT_EQ(g.tid, w.tid) << "event " << i;
+    EXPECT_EQ(g.args_json, w.args_json) << "event " << i;
+  }
+
+  // Every "arb"/"xfer" child follows, and lies inside, the outer span
+  // most recently opened on its track.
+  std::map<int, const telemetry::TraceEvent*> outer;
+  for (const telemetry::TraceEvent& e : got.events()) {
+    if (e.name != "arb" && e.name != "xfer") {
+      outer[e.tid] = &e;
+      continue;
+    }
+    ASSERT_TRUE(outer.count(e.tid)) << e.name << " before its parent";
+    const telemetry::TraceEvent& p = *outer[e.tid];
+    EXPECT_GE(e.start_tick, p.start_tick);
+    EXPECT_LE(e.start_tick + e.dur_ticks, p.start_tick + p.dur_ticks);
+  }
+
+  std::ostringstream first;
+  std::ostringstream second;
+  telemetry::write_chrome_trace(first, tracer.spans(), nullptr, {});
+  telemetry::write_chrome_trace(second, tracer.spans(), nullptr, {});
+  EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(TxnTracer, FlushClosesInFlightAndIsIdempotent) {

@@ -7,8 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/window.hpp"
@@ -43,6 +52,93 @@ TEST(JsonNumber, ShortestRoundTrip) {
   // JSON has no inf/nan; the contract maps them to 0.
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "0");
   EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "0");
+}
+
+/// json_number as a plain search: the %.*g form at the lowest precision
+/// in 1..17 that parses back to v. The library derives that precision
+/// from std::to_chars instead; the two must agree byte for byte.
+std::string json_number_by_search(double v) {
+  if (!std::isfinite(v)) return "0";
+  if (v == 0.0) return "0";
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  char buf[40];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(JsonNumber, MatchesPrecisionSearch) {
+  std::vector<double> inputs;
+  inputs.reserve(1'100'000);
+  std::mt19937_64 rng(20030310);
+  auto add_signed = [&inputs](double v) {
+    inputs.push_back(v);
+    inputs.push_back(-v);
+  };
+  // Random bit patterns: every exponent and mantissa shape (inf/nan
+  // included -- both render as 0).
+  for (int i = 0; i < 300'000; ++i) {
+    inputs.push_back(std::bit_cast<double>(rng()));
+  }
+  // Subnormals: exponent field zero, random mantissa.
+  for (int i = 0; i < 50'000; ++i) {
+    add_signed(std::bit_cast<double>(rng() & ((1ULL << 52) - 1)));
+  }
+  // Exact powers of two and their neighbours on both sides, where the
+  // rounding interval is lopsided.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    add_signed(p);
+    add_signed(std::nextafter(p, 0.0));
+    add_signed(std::nextafter(p, std::numeric_limits<double>::infinity()));
+  }
+  // Where the estimator's energies fall: 1e-13 .. 1e-6 J, log-uniform.
+  std::uniform_real_distribution<double> decade(-13.0, -6.0);
+  for (int i = 0; i < 600'000; ++i) {
+    inputs.push_back(std::pow(10.0, decade(rng)));
+  }
+  // Extremes and their neighbours.
+  for (const double v : {std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::epsilon()}) {
+    add_signed(v);
+    add_signed(std::nextafter(v, 0.0));
+    add_signed(std::nextafter(v, std::numeric_limits<double>::infinity()));
+  }
+  ASSERT_GE(inputs.size(), 1'000'000u);
+
+  // The search costs several microseconds per value; split the inputs
+  // across a few threads. Each keeps its first mismatches for the report.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kKeep = 5;
+  std::vector<std::vector<double>> mismatches(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&inputs, &found = mismatches[t], t] {
+      for (std::size_t i = t; i < inputs.size(); i += kThreads) {
+        const double v = inputs[i];
+        if (json_number(v) != json_number_by_search(v) &&
+            found.size() < kKeep) {
+          found.push_back(v);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (const std::vector<double>& found : mismatches) {
+    for (const double v : found) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": json_number " << json_number(v) << ", search "
+                    << json_number_by_search(v);
+    }
+  }
 }
 
 TEST(JsonEscape, ControlAndQuoteHandling) {
