@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ahb/ahb.hpp"
 #include "testbench.hpp"
 
@@ -99,43 +101,50 @@ struct BurstBench : Bench {
   BusMonitor mon;
 };
 
+// gtest names each case after the bytes of its parameter, so the struct
+// has no implicit padding: uninitialised padding would make the names
+// change from one test discovery to the next.
 struct BurstCase {
   Burst burst;
-  unsigned busy_percent;
-  unsigned wait_states;
+  std::uint8_t pad[3]{};
+  unsigned busy_percent = 0;
+  unsigned wait_states = 0;
 };
+static_assert(sizeof(BurstCase) == 12, "BurstCase must have no padding");
 
 class BurstSweep : public ::testing::TestWithParam<BurstCase> {};
 
 TEST_P(BurstSweep, CleanRunWithCorrectData) {
-  const auto [burst, busy, waits] = GetParam();
-  BurstBench b(burst, busy, waits);
+  const BurstCase& c = GetParam();
+  BurstBench b(c.burst, c.busy_percent, c.wait_states);
   b.run_cycles(3000);
   EXPECT_TRUE(b.mon.violations().empty())
       << "first violation: " << b.mon.violations().front();
   EXPECT_GT(b.m.stats().bursts, 4u);
   EXPECT_GT(b.m.stats().write_beats, 10u);
   EXPECT_EQ(b.m.stats().read_mismatches, 0u)
-      << "burst read-back corrupted (" << to_string(burst) << ")";
+      << "burst read-back corrupted (" << to_string(c.burst) << ")";
   EXPECT_EQ(b.m.stats().error_responses, 0u);
-  if (busy > 0) {
+  if (c.busy_percent > 0) {
     EXPECT_GT(b.m.stats().busy_beats, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, BurstSweep,
-    ::testing::Values(BurstCase{Burst::kIncr4, 0, 0},
-                      BurstCase{Burst::kIncr8, 0, 0},
-                      BurstCase{Burst::kIncr16, 0, 0},
-                      BurstCase{Burst::kIncr, 0, 0},
-                      BurstCase{Burst::kWrap4, 0, 0},
-                      BurstCase{Burst::kWrap8, 0, 0},
-                      BurstCase{Burst::kWrap16, 0, 0},
-                      BurstCase{Burst::kIncr4, 25, 0},
-                      BurstCase{Burst::kWrap8, 25, 0},
-                      BurstCase{Burst::kIncr4, 0, 2},
-                      BurstCase{Burst::kIncr8, 25, 1}));
+    ::testing::Values(BurstCase{.burst = Burst::kIncr4},
+                      BurstCase{.burst = Burst::kIncr8},
+                      BurstCase{.burst = Burst::kIncr16},
+                      BurstCase{.burst = Burst::kIncr},
+                      BurstCase{.burst = Burst::kWrap4},
+                      BurstCase{.burst = Burst::kWrap8},
+                      BurstCase{.burst = Burst::kWrap16},
+                      BurstCase{.burst = Burst::kIncr4, .busy_percent = 25},
+                      BurstCase{.burst = Burst::kWrap8, .busy_percent = 25},
+                      BurstCase{.burst = Burst::kIncr4, .wait_states = 2},
+                      BurstCase{.burst = Burst::kIncr8,
+                                .busy_percent = 25,
+                                .wait_states = 1}));
 
 TEST(BurstMaster, SeqBeatsAreBackToBack) {
   // Zero-wait INCR4: each burst's 4 beats complete in 4 consecutive
