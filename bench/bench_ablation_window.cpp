@@ -15,22 +15,22 @@ int main() {
   std::printf("%12s %10s %14s %14s %12s\n", "window", "points", "mean power",
               "peak power", "peak/mean");
 
-  for (const auto window : {sim::SimTime::ns(20), sim::SimTime::ns(50),
-                            sim::SimTime::ns(100), sim::SimTime::ns(500),
-                            sim::SimTime::us(1), sim::SimTime::us(4)}) {
-    bench::PaperSystem sys({.trace_window = window});
+  // 20 ns .. 4 us in whole bus cycles.
+  for (const std::uint64_t cycles : {2, 5, 10, 50, 100, 400}) {
+    bench::PaperSystem sys({.telemetry_window_cycles = cycles});
     sys.run(sim::SimTime::us(4));
-    sys.est->flush_trace();
-    const power::PowerTrace& tr = *sys.est->trace();
+    sys.est->flush_telemetry();
+    const telemetry::WindowSeries& ws = *sys.est->windows();
     double peak = 0.0, mean = 0.0;
-    for (const auto& p : tr.points()) {
-      const double w = tr.power_total(p);
-      peak = std::max(peak, w);
-      mean += w;
+    for (const auto& w : ws.windows()) {
+      const double p = power::window_power(ws, w, bench::kCycle, "total");
+      peak = std::max(peak, p);
+      mean += p;
     }
-    mean /= static_cast<double>(tr.points().size());
+    mean /= static_cast<double>(ws.windows().size());
+    const sim::SimTime window = bench::kCycle * static_cast<std::int64_t>(cycles);
     std::printf("%12s %10zu %14s %14s %11.2fx\n", window.to_string().c_str(),
-                tr.points().size(), power::format_power(mean).c_str(),
+                ws.windows().size(), power::format_power(mean).c_str(),
                 power::format_power(peak).c_str(), peak / mean);
   }
 

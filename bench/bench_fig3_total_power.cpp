@@ -3,7 +3,6 @@
 // series and writes fig3_total_power.csv with all sub-block series.
 
 #include <cstdio>
-#include <fstream>
 
 #include "common.hpp"
 #include "power/report.hpp"
@@ -11,29 +10,32 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys(
-      {.trace_window = sim::SimTime::ns(100)});  // 10-cycle windows
+  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 3: total AHB power consumption (first 4 us) ===\n");
 
   sys.run(sim::SimTime::us(4));
-  sys.est->flush_trace();
+  sys.est->flush_telemetry();
 
-  const power::PowerTrace& tr = *sys.est->trace();
-  std::fputs(power::format_trace(tr, "total", sim::SimTime::us(4)).c_str(), stdout);
+  const telemetry::WindowSeries& ws = *sys.est->windows();
+  std::fputs(power::format_trace(ws, bench::kCycle, "total", sim::SimTime::us(4))
+                 .c_str(),
+             stdout);
 
   double peak = 0.0, mean = 0.0;
-  for (const auto& p : tr.points()) {
-    const double w = tr.power_total(p);
-    peak = std::max(peak, w);
-    mean += w;
+  for (const auto& w : ws.windows()) {
+    const double p = power::window_power(ws, w, bench::kCycle, "total");
+    peak = std::max(peak, p);
+    mean += p;
   }
-  mean /= static_cast<double>(tr.points().size());
+  mean /= static_cast<double>(ws.windows().size());
   std::printf("\nwindows: %zu   mean power: %s   peak power: %s\n",
-              tr.points().size(), power::format_power(mean).c_str(),
+              ws.windows().size(), power::format_power(mean).c_str(),
               power::format_power(peak).c_str());
 
-  std::ofstream csv("fig3_total_power.csv");
-  power::write_trace_csv(csv, tr);
+  telemetry::write_window_csv_file(
+      "fig3_total_power.csv", ws,
+      telemetry::ExportMeta{.tick_ns = static_cast<double>(
+                                bench::kCycle.nanoseconds())});
   std::puts("full series written to fig3_total_power.csv");
   return 0;
 }

@@ -10,28 +10,29 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.trace_window = sim::SimTime::ns(100)});
+  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 4: arbiter power consumption (first 4 us) ===\n");
 
   sys.run(sim::SimTime::us(4));
-  sys.est->flush_trace();
+  sys.est->flush_telemetry();
 
-  const power::PowerTrace& tr = *sys.est->trace();
-  std::fputs(power::format_trace(tr, "arb", sim::SimTime::us(4)).c_str(), stdout);
+  const telemetry::WindowSeries& ws = *sys.est->windows();
+  std::fputs(
+      power::format_trace(ws, bench::kCycle, "arb", sim::SimTime::us(4)).c_str(),
+      stdout);
 
-  double peak_arb = 0.0, peak_m2s = 0.0, sum_arb = 0.0, sum_m2s = 0.0;
-  for (const auto& p : tr.points()) {
-    peak_arb = std::max(peak_arb, tr.power_arb(p));
-    peak_m2s = std::max(peak_m2s, tr.power_m2s(p));
-    sum_arb += p.energy.arb;
-    sum_m2s += p.energy.m2s;
+  const power::BlockEnergy& e = sys.est->block_totals();
+  double peak_arb = 0.0, peak_m2s = 0.0;
+  for (const auto& w : ws.windows()) {
+    peak_arb = std::max(peak_arb, power::window_power(ws, w, bench::kCycle, "arb"));
+    peak_m2s = std::max(peak_m2s, power::window_power(ws, w, bench::kCycle, "m2s"));
   }
   std::printf("\npeak arbiter power: %s   peak M2S power: %s\n",
               power::format_power(peak_arb).c_str(),
               power::format_power(peak_m2s).c_str());
   std::printf("arbiter/M2S energy ratio over the window: %.4f (paper: << 1)\n",
-              sum_arb / sum_m2s);
-  if (sum_arb >= sum_m2s) {
+              e.arb / e.m2s);
+  if (e.arb >= e.m2s) {
     std::puts("SHAPE CHECK FAILED: arbiter should dissipate far less than M2S");
     return 1;
   }

@@ -10,25 +10,25 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.trace_window = sim::SimTime::ns(100)});
+  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 5: M2S multiplexer power consumption (first 4 us) ===\n");
 
   sys.run(sim::SimTime::us(4));
-  sys.est->flush_trace();
+  sys.est->flush_telemetry();
 
-  const power::PowerTrace& tr = *sys.est->trace();
-  std::fputs(power::format_trace(tr, "m2s", sim::SimTime::us(4)).c_str(), stdout);
+  const telemetry::WindowSeries& ws = *sys.est->windows();
+  std::fputs(
+      power::format_trace(ws, bench::kCycle, "m2s", sim::SimTime::us(4)).c_str(),
+      stdout);
 
   double peak = 0.0;
-  double e_m2s = 0.0, e_total = 0.0;
-  for (const auto& p : tr.points()) {
-    peak = std::max(peak, tr.power_m2s(p));
-    e_m2s += p.energy.m2s;
-    e_total += p.energy.total();
+  for (const auto& w : ws.windows()) {
+    peak = std::max(peak, power::window_power(ws, w, bench::kCycle, "m2s"));
   }
+  const power::BlockEnergy& e = sys.est->block_totals();
   std::printf("\npeak M2S power: %s   M2S share of total energy: %.2f %%\n",
-              power::format_power(peak).c_str(), 100.0 * e_m2s / e_total);
-  if (e_m2s < 0.25 * e_total) {
+              power::format_power(peak).c_str(), 100.0 * e.m2s / e.total());
+  if (e.m2s < 0.25 * e.total()) {
     std::puts("SHAPE CHECK FAILED: M2S should be the dominant sub-block");
     return 1;
   }

@@ -79,7 +79,7 @@ BENCHMARK(BM_PowerLocalStyle)->Unit(benchmark::kMillisecond);
 
 void BM_PowerLocalWithTrace(benchmark::State& state) {
   for (auto _ : state) {
-    bench::PaperSystem sys({.trace_window = sim::SimTime::ns(100)});
+    bench::PaperSystem sys({.telemetry_window_cycles = 10});
     sys.run(kSimTime);
     benchmark::DoNotOptimize(sys.est->total_energy());
   }
@@ -105,7 +105,8 @@ void BM_PowerTelemetryMetrics(benchmark::State& state) {
     bench::PaperSystem sys({.metrics = &metrics});
     sys.run(kSimTime);
     sys.est->flush_telemetry();
-    benchmark::DoNotOptimize(metrics.counter("ahb.power.sampled_cycles").value());
+    benchmark::DoNotOptimize(
+        metrics.find_histogram("ahb.power.cycle_energy_pj")->count());
   }
 }
 BENCHMARK(BM_PowerTelemetryMetrics)->Unit(benchmark::kMillisecond);

@@ -16,16 +16,20 @@
 
 namespace ahbp::bench {
 
+/// One bus cycle of the paper's 100 MHz clock: the tick of the
+/// estimator's windowed power series (PaperSystem::est->windows()).
+inline constexpr sim::SimTime kCycle = sim::SimTime::ns(10);
+
 /// The paper's system, with a power estimator attached.
 struct PaperSystem {
   struct Options {
     ahb::ArbitrationPolicy policy = ahb::ArbitrationPolicy::kFixedPriority;
     unsigned wait_states = 0;
-    sim::SimTime trace_window = sim::SimTime::zero();
     bool power_enabled = true;
     std::uint64_t seed1 = 101;
     std::uint64_t seed2 = 202;
-    /// Windowed power sampling granularity (0 = telemetry off).
+    /// Windowed power sampling granularity in bus cycles (0 = off): the
+    /// Figs. 3-5 power-vs-time series.
     std::uint64_t telemetry_window_cycles = 0;
     /// Reconstruct per-transaction spans with attributed energy.
     bool txn_trace = false;
@@ -37,7 +41,7 @@ struct PaperSystem {
 
   explicit PaperSystem(Options opt)
       : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
+        clk(&top, "clk", kCycle, 0.5, kCycle),
         bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = opt.policy}),
         dm(&top, "default_master", bus),
         m1(&top, "m1", bus,
@@ -55,7 +59,6 @@ struct PaperSystem {
       est = std::make_unique<power::AhbPowerEstimator>(
           &top, "power", bus,
           power::AhbPowerEstimator::Config{
-              .trace_window = opt.trace_window,
               .telemetry_window_cycles = opt.telemetry_window_cycles,
               .txn_trace = opt.txn_trace,
               .metrics = opt.metrics});

@@ -10,7 +10,6 @@
 // instruction table for a bursty periodic workload.
 
 #include <cstdio>
-#include <fstream>
 
 #include "ahb/ahb.hpp"
 #include "power/power.hpp"
@@ -129,7 +128,7 @@ int main() {
   ahb::BusMonitor mon(&top, "monitor", bus);
   power::AhbPowerEstimator est(
       &top, "power", bus,
-      power::AhbPowerEstimator::Config{.trace_window = sim::SimTime::ns(200)});
+      power::AhbPowerEstimator::Config{.telemetry_window_cycles = 20});  // 200 ns
 
   // Waveform of the interesting bus signals.
   sim::VcdWriter vcd("portable_player.vcd", kernel);
@@ -141,7 +140,7 @@ int main() {
   vcd.add(bus.bus().hmaster, 4);
 
   kernel.run(sim::SimTime::us(100));
-  est.flush_trace();
+  est.flush_telemetry();
 
   std::printf("=== portable player: 100 us @ 100 MHz ===\n");
   std::printf("audio frames streamed : %llu\n",
@@ -159,8 +158,8 @@ int main() {
   std::putchar('\n');
   std::fputs(power::format_block_breakdown(est.block_totals()).c_str(), stdout);
 
-  std::ofstream csv("portable_player_power.csv");
-  power::write_trace_csv(csv, *est.trace());
+  telemetry::write_window_csv_file("portable_player_power.csv", *est.windows(),
+                                   telemetry::ExportMeta{.tick_ns = 10.0});
   std::puts("\npower trace written to portable_player_power.csv");
   std::puts("bus waveform written to portable_player.vcd");
 

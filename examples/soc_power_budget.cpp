@@ -59,7 +59,9 @@ int main() {
 
   // --- observers: protocol, power (both buses), governor -----------------
   ahb::BusMonitor monitor(&top, "monitor", bus);
-  power::AhbPowerEstimator ahb_power(&top, "ahb_power", bus);
+  power::AhbPowerEstimator ahb_power(
+      &top, "ahb_power", bus,
+      power::AhbPowerEstimator::Config{.txn_trace = true});  // attribution
   apb::ApbPowerMonitor apb_power(&top, "apb_power", bridge);
   power::PowerGovernor governor(
       &top, "governor", ahb_power,
@@ -67,6 +69,7 @@ int main() {
   cpu.set_throttle(&governor.throttle());
 
   kernel.run(sim::SimTime::us(100));
+  ahb_power.flush_telemetry();
 
   // --- the system power picture -------------------------------------------
   std::puts("=== SoC with power budget: 100 us @ 100 MHz ===\n");
@@ -91,7 +94,8 @@ int main() {
   std::fputs(power::format_block_breakdown(ahb_power.block_totals()).c_str(), stdout);
   std::putchar('\n');
   std::fputs(power::format_master_attribution(
-                 ahb_power.fsm(), {"default", "cpu", "dma", "housekeeping"})
+                 ahb_power.txn_tracer()->attribution(),
+                 {"default", "cpu", "dma", "housekeeping"})
                  .c_str(),
              stdout);
 

@@ -1,5 +1,7 @@
 #include "power/power_fsm.hpp"
 
+#include <vector>
+
 namespace ahbp::power {
 
 const char* to_string(BusMode m) {
@@ -47,9 +49,7 @@ PowerFsm::PowerFsm(Config cfg)
       s2m_model_(cfg.data_width + 3, cfg.n_slaves, cfg.tech,
                  cfg.s2m_coefficients),
       arb_model_(cfg.n_masters, cfg.tech),
-      packed_(kChannelNames) {
-  master_energy_.assign(cfg.n_masters, 0.0);
-}
+      packed_(kChannelNames) {}
 
 void PowerFsm::reset() {
   packed_.reset();
@@ -59,7 +59,6 @@ void PowerFsm::reset() {
   prev_ = CycleView{};
   cycles_ = 0;
   blocks_ = BlockEnergy{};
-  master_energy_.assign(cfg_.n_masters, 0.0);
   instr_.fill(InstrStats{});
 }
 
@@ -82,10 +81,6 @@ void PowerFsm::publish_metrics(telemetry::MetricsRegistry& registry,
   registry.gauge(prefix + ".energy.m2s_j").set(blocks_.m2s);
   registry.gauge(prefix + ".energy.s2m_j").set(blocks_.s2m);
   registry.gauge(prefix + ".energy.total_j").set(blocks_.total());
-  for (std::size_t m = 0; m < master_energy_.size(); ++m) {
-    registry.gauge(prefix + ".master." + std::to_string(m) + ".energy_j")
-        .set(master_energy_[m]);
-  }
 }
 
 std::map<std::string, PowerFsm::InstrStats> PowerFsm::instructions() const {
@@ -135,9 +130,6 @@ void PowerFsm::step_repeated(const CycleView& v, std::uint64_t n) {
                           static_cast<unsigned>(steady.mode)];
   st.count += rest;
   st.energy += extra.total();
-  if (v.hmaster < master_energy_.size()) {
-    master_energy_[v.hmaster] += extra.total();
-  }
   // Note: the Activity channels record only the two explicit samples; the
   // skipped repetitions carry zero bit changes, so bit_change_count()
   // stays exact (only the per-channel sample counters are condensed).
@@ -189,7 +181,6 @@ PowerFsm::StepResult PowerFsm::step(const CycleView& v) {
                             hd_rdata + hd_resp);
   e.arb = arb_model_.energy(hd_req, handover);
   blocks_ += e;
-  if (v.hmaster < master_energy_.size()) master_energy_[v.hmaster] += e.total();
 
   // --- the FSM transition = executed instruction ------------------------
   const BusMode next = classify(v, handover);

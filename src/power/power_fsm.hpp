@@ -14,7 +14,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "gate/tech.hpp"
 #include "power/activity.hpp"
@@ -133,11 +132,6 @@ public:
   [[nodiscard]] const BlockEnergy& block_totals() const { return blocks_; }
   [[nodiscard]] double total_energy() const { return blocks_.total(); }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
-  /// Energy attributed to each master (by address-phase bus ownership of
-  /// the cycle) -- the per-IP energy budget view. Index = HMASTER.
-  [[nodiscard]] const std::vector<double>& per_master_energy() const {
-    return master_energy_;
-  }
   [[nodiscard]] BusMode mode() const { return mode_; }
   /// The instrumentation-side activity storage (paper's Activity
   /// object). The hot path accumulates into an SoA PackedActivity; this
@@ -157,7 +151,8 @@ public:
   /// docs/OBSERVABILITY.md: `<prefix>.cycles`,
   /// `<prefix>.instr.<name>.count` / `.energy_j` for every *executed*
   /// instruction (names lowercased), `<prefix>.energy.<block>_j`,
-  /// `<prefix>.energy.total_j` and `<prefix>.master.<i>.energy_j`.
+  /// and `<prefix>.energy.total_j`. Per-master energy is the
+  /// TransactionTracer's (`ahb.txn.master.<i>.energy_j`).
   /// Counters are cumulative -- call once per run.
   void publish_metrics(telemetry::MetricsRegistry& registry,
                        const std::string& prefix = "ahb.power") const;
@@ -199,7 +194,6 @@ private:
   CycleView prev_;
   std::uint64_t cycles_ = 0;
   BlockEnergy blocks_;
-  std::vector<double> master_energy_;
   /// Transition-indexed stats: [from * 4 + to].
   std::array<InstrStats, 16> instr_{};
 };

@@ -126,33 +126,23 @@ std::string format_block_breakdown(const BlockEnergy& blocks) {
   return os.str();
 }
 
-std::string format_master_attribution(const PowerFsm& fsm,
+std::string format_master_attribution(const EnergyAttributor& attribution,
                                       const std::vector<std::string>& names) {
-  const auto& per = fsm.per_master_energy();
-  double total = 0.0;
-  for (double e : per) total += e;
+  const auto& per = attribution.master_energy();
+  const double total = attribution.masters_total() + attribution.bus_energy();
   std::ostringstream os;
   os << "Per-master bus energy attribution:\n";
-  for (std::size_t m = 0; m < per.size(); ++m) {
-    const std::string label =
-        m < names.size() ? names[m] : "master " + std::to_string(m);
+  auto row = [&](const std::string& label, double e) {
     char line[128];
     std::snprintf(line, sizeof line, "  %-16s %10s  %6.2f %%\n", label.c_str(),
-                  format_energy(per[m]).c_str(),
-                  total > 0 ? 100.0 * per[m] / total : 0.0);
+                  format_energy(e).c_str(), total > 0 ? 100.0 * e / total : 0.0);
     os << line;
+  };
+  for (std::size_t m = 0; m < per.size(); ++m) {
+    row(m < names.size() ? names[m] : "master " + std::to_string(m), per[m]);
   }
+  row("bus", attribution.bus_energy());
   return os.str();
-}
-
-void write_trace_csv(std::ostream& os, const PowerTrace& trace) {
-  os << "time_us,p_total_mw,p_arb_mw,p_dec_mw,p_m2s_mw,p_s2m_mw\n";
-  for (const auto& p : trace.points()) {
-    os << static_cast<double>(p.start.picoseconds()) * 1e-6 << ','
-       << trace.power_total(p) * 1e3 << ',' << trace.power_arb(p) * 1e3 << ','
-       << trace.power_dec(p) * 1e3 << ',' << trace.power_m2s(p) * 1e3 << ','
-       << trace.power_s2m(p) * 1e3 << '\n';
-  }
 }
 
 void write_instruction_csv(std::ostream& os, const PowerFsm& fsm) {
@@ -192,27 +182,28 @@ std::string format_activity_report(const Activity& activity) {
   return os.str();
 }
 
-std::string format_trace(const PowerTrace& trace, const std::string& block,
+double window_power(const telemetry::WindowSeries& series,
+                    const telemetry::WindowSeries::Window& w, sim::SimTime tick,
+                    std::string_view block) {
+  double e = 0.0;
+  const auto& tracks = series.tracks();
+  for (std::size_t i = 0; i < tracks.size(); ++i) {
+    if (block == "total" || block == tracks[i]) e += w.values[i];
+  }
+  return e / (static_cast<double>(w.ticks) * tick.to_seconds());
+}
+
+std::string format_trace(const telemetry::WindowSeries& series,
+                         sim::SimTime tick, std::string_view block,
                          sim::SimTime until) {
   std::ostringstream os;
   os << "time         P_" << block << '\n';
-  for (const auto& p : trace.points()) {
-    if (until > sim::SimTime::zero() && p.start >= until) break;
-    double w = 0.0;
-    if (block == "total") {
-      w = trace.power_total(p);
-    } else if (block == "arb") {
-      w = trace.power_arb(p);
-    } else if (block == "dec") {
-      w = trace.power_dec(p);
-    } else if (block == "m2s") {
-      w = trace.power_m2s(p);
-    } else if (block == "s2m") {
-      w = trace.power_s2m(p);
-    }
+  for (const auto& w : series.windows()) {
+    const sim::SimTime start = tick * static_cast<std::int64_t>(w.start_tick);
+    if (until > sim::SimTime::zero() && start >= until) break;
     char line[96];
-    std::snprintf(line, sizeof line, "%-12s %s\n", p.start.to_string().c_str(),
-                  format_power(w).c_str());
+    std::snprintf(line, sizeof line, "%-12s %s\n", start.to_string().c_str(),
+                  format_power(window_power(series, w, tick, block)).c_str());
     os << line;
   }
   return os.str();

@@ -1,14 +1,18 @@
 #pragma once
 // Result rendering: the paper's Table 1 (per-instruction energy), the
-// Fig. 6 sub-block breakdown, power traces as CSV/series, and the
-// data-path-vs-arbitration energy split the paper's conclusion rests on.
+// Fig. 6 sub-block breakdown, the Figs. 3-5 power-vs-time series, the
+// per-master attribution, and the data-path-vs-arbitration energy split
+// the paper's conclusion rests on.
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "power/attribution.hpp"
 #include "power/power_fsm.hpp"
-#include "power/trace.hpp"
+#include "sim/time.hpp"
+#include "telemetry/window.hpp"
 
 namespace ahbp::power {
 
@@ -40,15 +44,13 @@ struct InstructionRow {
 /// ARB / S2M percentages).
 [[nodiscard]] std::string format_block_breakdown(const BlockEnergy& blocks);
 
-/// Renders the per-master energy attribution (who owns the bus when the
-/// energy is burned) -- the per-IP budget view. `names[i]` labels master
-/// i; missing names fall back to "master <i>".
+/// Renders the per-master energy attribution -- the per-IP budget view:
+/// one row per master plus a final "bus" row for the idle/handover
+/// energy no transaction owns; the rows sum to the run total.
+/// `names[i]` labels master i; missing names fall back to "master <i>".
 [[nodiscard]] std::string format_master_attribution(
-    const PowerFsm& fsm, const std::vector<std::string>& names = {});
-
-/// Writes a power trace as CSV: time_us, p_total_mw, p_arb_mw, p_dec_mw,
-/// p_m2s_mw, p_s2m_mw.
-void write_trace_csv(std::ostream& os, const PowerTrace& trace);
+    const EnergyAttributor& attribution,
+    const std::vector<std::string>& names = {});
 
 /// Writes the instruction table as CSV: instruction, count, avg_pj,
 /// total_pj, percent.
@@ -59,11 +61,20 @@ void write_instruction_csv(std::ostream& os, const PowerFsm& fsm);
 /// monitored channel).
 [[nodiscard]] std::string format_activity_report(const Activity& activity);
 
+/// Average power [W] of one window of a cycle-windowed energy series
+/// (AhbPowerEstimator::windows()): `block` is a track name ("arb",
+/// "dec", "m2s", "s2m") or "total" for their sum, `tick` the duration
+/// of one series tick (one bus cycle). An unknown track reads 0 W.
+[[nodiscard]] double window_power(const telemetry::WindowSeries& series,
+                                  const telemetry::WindowSeries::Window& w,
+                                  sim::SimTime tick, std::string_view block);
+
 /// Renders one block's power series as a compact fixed-width listing
-/// (used by the figure benches). `block` selects "total", "arb", "dec",
-/// "m2s" or "s2m"; `until` truncates the series (zero = everything).
-[[nodiscard]] std::string format_trace(const PowerTrace& trace,
-                                       const std::string& block,
+/// (used by the figure benches), one line per window labelled with its
+/// start time. `block` is as for window_power(); `until` truncates the
+/// series (zero = everything).
+[[nodiscard]] std::string format_trace(const telemetry::WindowSeries& series,
+                                       sim::SimTime tick, std::string_view block,
                                        sim::SimTime until = sim::SimTime::zero());
 
 /// Pretty-prints an energy in engineering units (pJ/nJ/uJ).

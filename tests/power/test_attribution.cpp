@@ -1,5 +1,7 @@
-// Tests for per-master energy attribution and for calibrated macromodel
-// coefficients plumbed from charlib into the power FSM.
+// Tests for per-master energy attribution (the transaction rule of
+// EnergyAttributor, read through the estimator's TransactionTracer) and
+// for calibrated macromodel coefficients plumbed from charlib into the
+// power FSM.
 
 #include <gtest/gtest.h>
 
@@ -29,16 +31,18 @@ TEST(Attribution, EnergySplitsAcrossMasters) {
   MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
   MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
   bus.finalize();
-  AhbPowerEstimator est(&top, "power", bus);
+  AhbPowerEstimator est(&top, "power", bus, {.txn_trace = true});
   k.run(sim::SimTime::us(30));
+  est.flush_telemetry();
 
-  const auto& per = est.fsm().per_master_energy();
+  const EnergyAttributor& attr = est.txn_tracer()->attribution();
+  const auto& per = attr.master_energy();
   ASSERT_EQ(per.size(), 3u);
-  double sum = 0.0;
-  for (double e : per) sum += e;
-  EXPECT_NEAR(sum, est.total_energy(), est.total_energy() * 1e-9);
-  // Both traffic masters burn real energy; the parked default master's
-  // share is the residual idle cost.
+  EXPECT_NEAR(attr.masters_total() + attr.bus_energy(), est.total_energy(),
+              est.total_energy() * 1e-9);
+  // Both traffic masters burn real energy; the parked default master
+  // issues no transfers, so the idle cost lands on the bus owner.
+  EXPECT_GT(attr.bus_energy(), 0.0);
   EXPECT_GT(per[1], 0.0);
   EXPECT_GT(per[2], 0.0);
   EXPECT_GT(per[1], per[0]);
@@ -63,18 +67,19 @@ TEST(Attribution, AsymmetricWorkloadsShowAsymmetricShares) {
   MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
   MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
   bus.finalize();
-  AhbPowerEstimator est(&top, "power", bus);
+  AhbPowerEstimator est(&top, "power", bus, {.txn_trace = true});
   k.run(sim::SimTime::us(50));
+  est.flush_telemetry();
 
-  const auto& per = est.fsm().per_master_energy();
+  const auto& per = est.txn_tracer()->attribution().master_energy();
   EXPECT_GT(per[1], 3 * per[2]);
 }
 
 TEST(Attribution, SplitReworkConservesEnergy) {
   // SPLIT rework traffic -- two-cycle responses, masked-master handover
   // cycles, resume re-grants, re-issued transfers -- must attribute
-  // conservation-exact: per-master energies sum to the PowerFsm total
-  // within 1e-9 relative error.
+  // conservation-exact: per-master energies plus the bus owner's sum to
+  // the PowerFsm total within 1e-9 relative error.
   sim::Kernel k;
   sim::Module top(nullptr, "top");
   sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
@@ -106,48 +111,45 @@ TEST(Attribution, SplitReworkConservesEnergy) {
                   }});
   MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
   bus.finalize();
-  AhbPowerEstimator est(&top, "power", bus);
+  AhbPowerEstimator est(&top, "power", bus, {.txn_trace = true});
   k.run(sim::SimTime::us(30));
+  est.flush_telemetry();
 
   ASSERT_TRUE(m1.finished());
   EXPECT_GT(m1.splits(), 0u);
   EXPECT_GT(s1.stats().splits, 0u);
 
-  const auto& per = est.fsm().per_master_energy();
+  const EnergyAttributor& attr = est.txn_tracer()->attribution();
+  const auto& per = attr.master_energy();
   ASSERT_EQ(per.size(), 3u);
-  double sum = 0.0;
-  for (double e : per) sum += e;
-  EXPECT_NEAR(sum, est.total_energy(), est.total_energy() * 1e-9);
+  EXPECT_NEAR(attr.masters_total() + attr.bus_energy(), est.total_energy(),
+              est.total_energy() * 1e-9);
   EXPECT_GT(per[1], 0.0);  // the split-and-reworked master still pays
 }
 
 TEST(Attribution, ReportFormatsNamesAndShares) {
-  PowerFsm fsm(PowerFsm::Config{.n_masters = 2, .n_slaves = 2});
-  CycleView v;
-  v.hmaster = 1;
-  v.grant_vector = 2;
-  v.data_active = true;
-  v.data_write = true;
-  v.haddr = 0xFFFF;
-  v.hwdata = 0xAAAA;
-  fsm.step(v);
-  v.hwdata = 0x5555;
-  fsm.step(v);
-  const std::string s =
-      format_master_attribution(fsm, {"default", "cpu"});
-  EXPECT_NE(s.find("cpu"), std::string::npos);
+  EnergyAttributor attr(2, 2);
+  attr.credit_master(1, 3e-12);
+  attr.credit_bus(1e-12);
+  const std::string s = format_master_attribution(attr, {"default", "cpu"});
   EXPECT_NE(s.find("default"), std::string::npos);
-  EXPECT_NE(s.find("100.00 %"), std::string::npos);  // all energy on cpu
+  EXPECT_NE(s.find("cpu"), std::string::npos);
+  EXPECT_NE(s.find("75.00 %"), std::string::npos);  // cpu: 3 of 4 pJ
+  EXPECT_NE(s.find("  bus"), std::string::npos);    // the unowned rest
+  EXPECT_NE(s.find("25.00 %"), std::string::npos);
+  // Unnamed masters fall back to their index.
+  EXPECT_NE(format_master_attribution(attr).find("master 1"), std::string::npos);
 }
 
 TEST(Attribution, ResetClearsPerMasterTotals) {
-  PowerFsm fsm(PowerFsm::Config{.n_masters = 2, .n_slaves = 2});
-  CycleView v;
-  v.data_active = true;
-  v.haddr = 0xF0F0;
-  fsm.step(v);
-  fsm.reset();
-  for (double e : fsm.per_master_energy()) EXPECT_DOUBLE_EQ(e, 0.0);
+  EnergyAttributor attr(2, 2);
+  attr.credit_master(0, 1e-12);
+  attr.credit_slave(1, 1e-12);
+  attr.credit_bus(1e-12);
+  attr.reset();
+  for (double e : attr.master_energy()) EXPECT_DOUBLE_EQ(e, 0.0);
+  for (double e : attr.slave_energy()) EXPECT_DOUBLE_EQ(e, 0.0);
+  EXPECT_DOUBLE_EQ(attr.bus_energy(), 0.0);
 }
 
 TEST(Calibration, FittedCoefficientsChangeTheEstimate) {

@@ -1,5 +1,5 @@
 // Integration tests: power estimation over the live AHB testbench, the
-// three integration styles, and the power trace.
+// three integration styles, and the windowed power series.
 
 #include <gtest/gtest.h>
 
@@ -132,33 +132,18 @@ TEST(Estimator, PaperInstructionsAppear)
 }
 
 TEST(Estimator, TraceProducesWindows) {
-  PowerBench b(AhbPowerEstimator::Config{.trace_window = sim::SimTime::ns(100)});
+  // The figure benches' setting: 10-cycle (100 ns) windows. Every window
+  // covers whole bus cycles, the first one included.
+  PowerBench b(AhbPowerEstimator::Config{.telemetry_window_cycles = 10});
   b.run_cycles(1000);  // 10 us
-  b.est->flush_trace();
-  ASSERT_NE(b.est->trace(), nullptr);
-  const auto& pts = b.est->trace()->points();
-  ASSERT_GE(pts.size(), 90u);
-  // Total power is the sum of the block powers.
-  const auto& p = pts[10];
-  EXPECT_NEAR(b.est->trace()->power_total(p),
-              b.est->trace()->power_arb(p) + b.est->trace()->power_dec(p) +
-                  b.est->trace()->power_m2s(p) + b.est->trace()->power_s2m(p),
-              1e-9);
-}
-
-TEST(Estimator, TraceEnergyMatchesTotalEnergy) {
-  PowerBench b(AhbPowerEstimator::Config{.trace_window = sim::SimTime::ns(250)});
-  b.run_cycles(800);
-  b.est->flush_trace();
-  double trace_total = 0.0;
-  for (const auto& p : b.est->trace()->points()) trace_total += p.energy.total();
-  EXPECT_NEAR(trace_total, b.est->total_energy(), b.est->total_energy() * 1e-9);
-}
-
-TEST(Estimator, NoTraceByDefault) {
-  PowerBench b;
-  EXPECT_EQ(b.est->trace(), nullptr);
-  b.est->flush_trace();  // no-op, no crash
+  b.est->flush_telemetry();
+  ASSERT_NE(b.est->windows(), nullptr);
+  const auto& windows = b.est->windows()->windows();
+  ASSERT_GE(windows.size(), 99u);
+  EXPECT_EQ(windows.front().start_tick, 0u);
+  EXPECT_EQ(windows.front().ticks, 10u);
+  EXPECT_EQ(b.est->windows()->tracks(),
+            (std::vector<std::string>{"arb", "dec", "m2s", "s2m"}));
 }
 
 TEST(Styles, LocalAndGlobalAgreeExactly) {

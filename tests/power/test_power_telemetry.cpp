@@ -140,10 +140,6 @@ TEST(EstimatorTelemetry, LiveMetricsAndPublishedTotals) {
   b.run_cycles(400);
 
   // Hot-path metrics are live during the run.
-  const telemetry::Counter* sampled =
-      metrics.find_counter("ahb.power.sampled_cycles");
-  ASSERT_NE(sampled, nullptr);
-  EXPECT_EQ(sampled->value(), b.est->fsm().cycles());
   const telemetry::Histogram* h =
       metrics.find_histogram("ahb.power.cycle_energy_pj");
   ASSERT_NE(h, nullptr);
@@ -174,10 +170,10 @@ TEST(EstimatorTelemetry, DisabledRegistryStaysEmptyButRunProceeds) {
   b.run_cycles(200);
   b.est->flush_telemetry();
   EXPECT_GT(b.est->total_energy(), 0.0);  // power analysis unaffected
-  const telemetry::Counter* sampled =
-      metrics.find_counter("ahb.power.sampled_cycles");
-  ASSERT_NE(sampled, nullptr);
-  EXPECT_EQ(sampled->value(), 0u);  // updates bypassed
+  const telemetry::Histogram* h =
+      metrics.find_histogram("ahb.power.cycle_energy_pj");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 0u);  // updates bypassed
 }
 
 TEST(EstimatorTelemetry, PerInstructionMetricsMatchFsm) {

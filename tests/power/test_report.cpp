@@ -1,5 +1,5 @@
 // Unit tests for result rendering: instruction table, block breakdown,
-// shares, trace CSV, and unit formatting.
+// shares, windowed power series, and unit formatting.
 
 #include "power/report.hpp"
 
@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <sstream>
-
-#include "sim/report.hpp"
 
 namespace ahbp::power {
 namespace {
@@ -94,72 +92,49 @@ TEST(Report, BlockBreakdownPercentagesSumTo100) {
   EXPECT_NE(s.find("10.00 %"), std::string::npos);  // arb = 1/10
 }
 
-TEST(Report, TraceCsvHasHeaderAndRows) {
-  PowerTrace tr(sim::SimTime::ns(100));
-  BlockEnergy e{.arb = 1e-12, .dec = 1e-12, .m2s = 2e-12, .s2m = 1e-12};
-  tr.record(sim::SimTime::ns(10), e);
-  tr.record(sim::SimTime::ns(150), e);
-  tr.flush();
-  std::ostringstream os;
-  write_trace_csv(os, tr);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("time_us,p_total_mw"), std::string::npos);
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);  // header + 2 windows
+/// A four-track (arb/dec/m2s/s2m) series of 10-cycle windows, as the
+/// estimator builds it for the figure benches.
+telemetry::WindowSeries block_series() {
+  return telemetry::WindowSeries(telemetry::WindowSeries::Config{
+      .window_ticks = 10, .tracks = {"arb", "dec", "m2s", "s2m"}});
 }
 
+constexpr sim::SimTime kTick = sim::SimTime::ns(10);
+
 TEST(Report, FormatTraceSelectsBlock) {
-  PowerTrace tr(sim::SimTime::ns(100));
-  BlockEnergy e{.arb = 4e-12, .dec = 0, .m2s = 0, .s2m = 0};
-  tr.record(sim::SimTime::ns(10), e);
-  tr.flush();
-  const std::string total = format_trace(tr, "total");
-  const std::string arb = format_trace(tr, "arb");
-  const std::string dec = format_trace(tr, "dec");
+  telemetry::WindowSeries ws = block_series();
+  for (std::uint64_t c = 0; c < 10; ++c) ws.record(c, {0.4e-12, 0, 0, 0});
+  ws.flush();
+  const std::string total = format_trace(ws, kTick, "total");
+  const std::string arb = format_trace(ws, kTick, "arb");
+  const std::string dec = format_trace(ws, kTick, "dec");
   EXPECT_NE(total.find("40.000 uW"), std::string::npos);  // 4pJ/100ns
   EXPECT_NE(arb.find("40.000 uW"), std::string::npos);
   EXPECT_NE(dec.find("0 W"), std::string::npos);
 }
 
 TEST(Report, FormatTraceHonorsUntil) {
-  PowerTrace tr(sim::SimTime::ns(100));
-  BlockEnergy e{.arb = 1e-12};
-  for (int i = 0; i < 10; ++i) {
-    tr.record(sim::SimTime::ns(100) * i + sim::SimTime::ns(5), e);
+  telemetry::WindowSeries ws = block_series();
+  for (std::uint64_t c = 0; c < 100; ++c) ws.record(c, {1e-12, 0, 0, 0});
+  ws.flush();
+  const std::string all = format_trace(ws, kTick, "total");
+  const std::string cut = format_trace(ws, kTick, "total", sim::SimTime::ns(300));
+  EXPECT_EQ(std::count(all.begin(), all.end(), '\n'), 11);  // header + 10
+  EXPECT_EQ(std::count(cut.begin(), cut.end(), '\n'), 4);   // header + 3
+}
+
+TEST(Report, WindowPowerUsesCoveredTicks) {
+  // A flushed partial window is divided by the cycles it covers, not by
+  // the nominal window length.
+  telemetry::WindowSeries ws = block_series();
+  for (std::uint64_t c = 0; c < 15; ++c) ws.record(c, {0, 0, 1e-12, 1e-12});
+  ws.flush();
+  ASSERT_EQ(ws.windows().size(), 2u);
+  for (const auto& w : ws.windows()) {
+    EXPECT_NEAR(window_power(ws, w, kTick, "total"), 200e-6, 1e-15);
+    EXPECT_NEAR(window_power(ws, w, kTick, "m2s"), 100e-6, 1e-15);
   }
-  tr.flush();
-  const std::string all = format_trace(tr, "total");
-  const std::string cut = format_trace(tr, "total", sim::SimTime::ns(300));
-  EXPECT_GT(std::count(all.begin(), all.end(), '\n'),
-            std::count(cut.begin(), cut.end(), '\n'));
-}
-
-TEST(Trace, WindowsCloseOnBoundaries) {
-  PowerTrace tr(sim::SimTime::us(1));
-  BlockEnergy e{.m2s = 1e-12};
-  tr.record(sim::SimTime::ns(100), e);
-  tr.record(sim::SimTime::ns(900), e);
-  EXPECT_TRUE(tr.points().empty());  // first window still open
-  tr.record(sim::SimTime::ns(1100), e);
-  ASSERT_EQ(tr.points().size(), 1u);
-  EXPECT_DOUBLE_EQ(tr.points()[0].energy.m2s, 2e-12);
-  EXPECT_EQ(tr.points()[0].start, sim::SimTime::zero());
-  tr.flush();
-  ASSERT_EQ(tr.points().size(), 2u);
-  EXPECT_EQ(tr.points()[1].start, sim::SimTime::us(1));
-}
-
-TEST(Trace, GapsProduceEmptyWindows) {
-  PowerTrace tr(sim::SimTime::us(1));
-  BlockEnergy e{.m2s = 1e-12};
-  tr.record(sim::SimTime::ns(100), e);
-  tr.record(sim::SimTime::us(3) + sim::SimTime::ns(100), e);
-  ASSERT_EQ(tr.points().size(), 3u);
-  EXPECT_DOUBLE_EQ(tr.points()[1].energy.total(), 0.0);
-  EXPECT_DOUBLE_EQ(tr.points()[2].energy.total(), 0.0);
-}
-
-TEST(Trace, RejectsZeroWindow) {
-  EXPECT_THROW(PowerTrace(sim::SimTime::zero()), sim::SimError);
+  EXPECT_EQ(window_power(ws, ws.windows()[0], kTick, "nope"), 0.0);
 }
 
 TEST(Report, InstructionCsv) {

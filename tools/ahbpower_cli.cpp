@@ -17,9 +17,11 @@
 //                       txn_trace.json in DIR (requires --telemetry)
 //     --table           print the instruction table
 //     --breakdown       print the sub-block breakdown
-//     --attribution     print per-master energy attribution
+//     --attribution     print per-master energy attribution (the
+//                       transaction rule of txns.json, plus a bus row)
 //     --activity        print the switching-activity summary
-//     --csv FILE        write the power trace as CSV (needs --window)
+//     --csv FILE        write the windowed power series as CSV (needs
+//                       --window); same bytes as power_windows.csv
 //     --trace-out FILE  record the transaction trace to FILE
 //     --quiet           only the one-line summary
 //     --sweep           campaign mode: sweep policy x waits on a
@@ -724,12 +726,9 @@ int main(int argc, char** argv) {
   power::AhbPowerEstimator est(
       &top, "power", bus,
       power::AhbPowerEstimator::Config{
-          .trace_window = o.window_cycles > 0 && !o.csv.empty()
-              ? sim::SimTime::ns(kClockNs) *
-                    static_cast<std::int64_t>(o.window_cycles)
-              : sim::SimTime::zero(),
-          .telemetry_window_cycles = telemetry_on ? o.window_cycles : 0,
-          .txn_trace = o.txn_trace,
+          .telemetry_window_cycles =
+              telemetry_on || !o.csv.empty() ? o.window_cycles : 0,
+          .txn_trace = o.txn_trace || o.attribution,
           .metrics = telemetry_on ? &metrics : nullptr});
   std::unique_ptr<ahb::TraceRecorder> recorder;
   if (!o.trace_out.empty()) {
@@ -770,9 +769,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fs.jitter_cycles));
   }
 
+  const telemetry::ExportMeta meta{.tick_ns = static_cast<double>(kClockNs),
+                                   .process_name = "ahbpower"};
   if (telemetry_on) {
-    const telemetry::ExportMeta meta{.tick_ns = static_cast<double>(kClockNs),
-                                     .process_name = "ahbpower"};
     emit_or_die([&] {
       telemetry::write_window_csv_file(
           output_path(o.telemetry_dir, "power_windows.csv"), *est.windows(),
@@ -844,18 +843,18 @@ int main(int argc, char** argv) {
       names.push_back("m" + std::to_string(m + 1));
     }
     std::putchar('\n');
-    std::fputs(power::format_master_attribution(est.fsm(), names).c_str(), stdout);
+    std::fputs(power::format_master_attribution(est.txn_tracer()->attribution(),
+                                                names)
+                   .c_str(),
+               stdout);
   }
   if (o.activity) {
     std::putchar('\n');
     std::fputs(power::format_activity_report(est.fsm().activity()).c_str(), stdout);
   }
   if (!o.csv.empty()) {
-    emit_or_die([&] {
-      telemetry::AtomicFile file(o.csv);
-      power::write_trace_csv(file.stream(), *est.trace());
-      file.commit();
-    });
+    emit_or_die(
+        [&] { telemetry::write_window_csv_file(o.csv, *est.windows(), meta); });
     std::printf("\npower trace written to %s\n", o.csv.c_str());
   }
   if (recorder) {

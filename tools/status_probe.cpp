@@ -22,7 +22,9 @@
 // newlines) and emits events.jsonl, campaign.json and a live status
 // snapshot through the real library writers. The fixture-chained
 // telemetry_validate runs prove every writer escapes instead of
-// corrupting the artifact.
+// corrupting the artifact. It also writes metrics_doctored.json, a
+// metrics snapshot whose one master energy is 1 % off the run total:
+// the negative control for the validator's cross-layer agreement check.
 //
 // Exit 0 on success, 1 on a probe failure (diagnostics on stderr),
 // 2 on bad usage.
@@ -48,6 +50,8 @@
 #include "campaign/progress.hpp"
 #include "campaign/report.hpp"
 #include "telemetry/events.hpp"
+#include "telemetry/exporters.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/status_server.hpp"
 
 #include "mini_json.hpp"
@@ -318,6 +322,14 @@ int run_emit_hostile(const char* out_dir) {
       campaign::CampaignReportMeta{.name = "status_probe emit-hostile",
                                    .cycles = 0,
                                    .threads = 1});
+
+  // Master 1's transaction energy is 1 % too high for the run total.
+  telemetry::MetricsRegistry doctored;
+  doctored.gauge("ahb.power.energy.total_j").set(10e-12);
+  doctored.gauge("ahb.txn.bus_energy_j").set(2e-12);
+  doctored.gauge("ahb.txn.master.0.energy_j").set(3e-12);
+  doctored.gauge("ahb.txn.master.1.energy_j").set(5e-12 * 1.01);
+  telemetry::write_metrics_json_file(dir / "metrics_doctored.json", doctored);
   std::printf("status_probe: hostile artifacts written to %s\n", out_dir);
   return 0;
 }

@@ -37,6 +37,11 @@
 // present its per-status counts must equal the run_finish events
 // actually observed -- the replay guarantee behind post-mortems.
 //
+// "ahbpower.metrics.v1" snapshots must agree wherever two layers publish
+// one quantity (when the keys are present): the ahb.txn master + bus
+// energies and the ahb.power.energy blocks each sum to total_j within
+// 1e-9, and the cycle_energy_pj histogram counts ahb.power.cycles.
+//
 // "ahbpower.status.v1" snapshots additionally get their counts
 // cross-checked: done == ok+failed+crashed+timed_out+cancelled,
 // in_flight == workers[].length, stalled_workers == the stalled
@@ -222,6 +227,57 @@ void check_campaign_attribution(const Value& doc,
                        std::to_string(total->number) + " J (rel err " +
                        std::to_string(rel) + " > 1e-9)");
     }
+  }
+}
+
+/// Cross-layer agreement inside a metrics.v1 snapshot.
+void check_metrics_agreement(const Value& doc,
+                             std::vector<std::string>& errors) {
+  const Value* gauges = doc.find("gauges");
+  const Value* total =
+      gauges == nullptr ? nullptr : gauges->find("ahb.power.energy.total_j");
+  if (total != nullptr) {
+    double blocks = 0.0, owners = 0.0;
+    bool has_blocks = false, has_owners = false;
+    for (const auto& [name, g] : gauges->object) {
+      if (name.starts_with("ahb.power.energy.") &&
+          name != "ahb.power.energy.total_j") {
+        blocks += g.number;
+        has_blocks = true;
+      } else if (name == "ahb.txn.bus_energy_j" ||
+                 (name.starts_with("ahb.txn.master.") &&
+                  name.ends_with(".energy_j"))) {
+        owners += g.number;
+        has_owners = true;
+      }
+    }
+    const auto check = [&](bool present, const char* what, double sum) {
+      const double rel = rel_err(sum, total->number);
+      if (!present || rel <= 1e-9) return;
+      char line[256];
+      std::snprintf(line, sizeof line,
+                    "metrics: %s sum to %.12g J but ahb.power.energy.total_j "
+                    "is %.12g J (rel err %.3g > 1e-9)",
+                    what, sum, total->number, rel);
+      errors.emplace_back(line);
+    };
+    check(has_blocks, "ahb.power.energy.{arb,dec,m2s,s2m}_j", blocks);
+    check(has_owners, "ahb.txn.master.<i>.energy_j + ahb.txn.bus_energy_j",
+          owners);
+  }
+  const Value* counters = doc.find("counters");
+  const Value* hists = doc.find("histograms");
+  const Value* cycles =
+      counters == nullptr ? nullptr : counters->find("ahb.power.cycles");
+  const Value* hist =
+      hists == nullptr ? nullptr : hists->find("ahb.power.cycle_energy_pj");
+  const Value* count = hist == nullptr ? nullptr : hist->find("count");
+  if (cycles != nullptr && count != nullptr && cycles->number != count->number) {
+    errors.push_back(
+        "metrics: ahb.power.cycle_energy_pj count (" +
+        std::to_string(static_cast<std::uint64_t>(count->number)) +
+        ") != ahb.power.cycles (" +
+        std::to_string(static_cast<std::uint64_t>(cycles->number)) + ")");
   }
 }
 
@@ -688,6 +744,9 @@ int main(int argc, char** argv) {
         id->string == "ahbpower.campaign.v4") {
       check_campaign_degraded(doc, id->string == "ahbpower.campaign.v4",
                               errors);
+    }
+    if (id->string == "ahbpower.metrics.v1") {
+      check_metrics_agreement(doc, errors);
     }
     if (id->string == "ahbpower.status.v1") {
       check_status_consistency(doc, errors);
