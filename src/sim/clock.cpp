@@ -21,6 +21,9 @@ Clock::Clock(Module* parent, std::string name, SimTime period, double duty,
     throw SimError("clock duty cycle unrepresentable at this period");
   }
   driver_.sensitive(tick_event_);
+  // The tick wakes only the driver, so the kernel may run it at the time
+  // advance and apply the edge there (see kernel.hpp).
+  tick_event_.clock_driver_ = &driver_;
 }
 
 void Clock::tick() {

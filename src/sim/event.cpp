@@ -30,14 +30,6 @@ void Event::notify() {
   trigger();
 }
 
-void Event::notify_delta() {
-  if (pending_ == Pending::kDelta) return;  // already as early as possible
-  // A pending timed notification is later than a delta one: override it.
-  pending_ = Pending::kDelta;
-  ++stamp_;
-  kernel().schedule_delta(*this);
-}
-
 void Event::notify(SimTime delay) {
   if (delay <= SimTime::zero()) {
     notify_delta();
@@ -77,19 +69,16 @@ void Event::remove_dynamic(Process& p) {
   if (p.dynamic_wait_event_ == this) p.dynamic_wait_event_ = nullptr;
 }
 
-void Event::trigger() {
-  last_triggered_ = kernel().now();
-  for (Process* p : static_sensitive_) kernel().make_runnable(*p);
-  if (!dynamic_waiters_.empty()) {
-    // One-shot semantics: move the list out first, since a woken process
-    // may re-subscribe during the same evaluation phase.
-    std::vector<Process*> waiters;
-    waiters.swap(dynamic_waiters_);
-    for (Process* p : waiters) {
-      p->dynamic_wait_event_ = nullptr;
-      kernel().make_runnable(*p);
-    }
+void Event::wake_dynamic() {
+  // One-shot semantics. Waking only queues the processes; none runs
+  // before this returns, so no re-subscription can land in the list
+  // while it is walked, and clear() keeps its capacity for the waiters'
+  // next co_await wait(*this) -- no allocation per trigger.
+  for (Process* p : dynamic_waiters_) {
+    p->dynamic_wait_event_ = nullptr;
+    kernel().make_runnable(*p);
   }
+  dynamic_waiters_.clear();
 }
 
 }  // namespace ahbp::sim

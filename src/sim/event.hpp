@@ -1,15 +1,20 @@
 #pragma once
 // Event: the kernel's notification primitive (cf. SystemC sc_event).
 
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
+#include "sim/kernel.hpp"
 #include "sim/object.hpp"
+#include "sim/process.hpp"
 #include "sim/time.hpp"
 
 namespace ahbp::sim {
 
-class Process;
+class Clock;
+template <std::equality_comparable T>
+class Signal;
 
 /// A notification primitive that wakes processes.
 ///
@@ -32,7 +37,13 @@ public:
   /// *current* evaluation phase. Cancels any pending notification.
   void notify();
   /// Delta notification: processes wake in the next delta cycle.
-  void notify_delta();
+  void notify_delta() {
+    if (pending_ == Pending::kDelta) return;  // already as early as possible
+    // A pending timed notification is later than a delta one: override it.
+    pending_ = Pending::kDelta;
+    ++stamp_;
+    kernel().schedule_delta(*this);
+  }
   /// Timed notification at now() + delay. delay must be > 0 (use
   /// notify_delta() for zero-delay semantics).
   void notify(SimTime delay);
@@ -54,12 +65,37 @@ public:
 
 private:
   friend class Kernel;
+  friend class Clock;
+  template <std::equality_comparable T>
+  friend class Signal;
 
   enum class Pending : std::uint8_t { kNone, kDelta, kTimed };
 
   /// Wakes all sensitive processes. Called by the kernel (delta/timed
   /// queues) or directly by notify().
-  void trigger();
+  void trigger() {
+    Kernel& k = kernel();
+    last_triggered_ = k.now();
+    for (Process* p : static_sensitive_) k.make_runnable(*p);
+    if (!dynamic_waiters_.empty()) wake_dynamic();
+  }
+  /// One-shot wake-up of the dynamic waiters; clears their subscriptions.
+  void wake_dynamic();
+  /// Delta notification from the kernel's update phase
+  /// (Signal::apply_update). When nothing could observe the trigger --
+  /// no static or dynamic subscriber and no pending notification to
+  /// override -- only last_triggered() advances. That is exact because
+  /// no process runs between the update and notify phases. It must not
+  /// be used in an evaluation phase, where a later process may still
+  /// subscribe.
+  void notify_delta_from_update() {
+    if (pending_ == Pending::kNone && static_sensitive_.empty() &&
+        dynamic_waiters_.empty()) {
+      last_triggered_ = kernel().now();
+      return;
+    }
+    notify_delta();
+  }
 
   Pending pending_ = Pending::kNone;
   SimTime pending_time_;
@@ -67,6 +103,9 @@ private:
   SimTime last_triggered_ = SimTime::max();
   std::vector<Process*> static_sensitive_;
   std::vector<Process*> dynamic_waiters_;
+  /// For a Clock's tick event: the driver method, its only subscriber.
+  /// The kernel runs it at the time advance (see kernel.hpp).
+  Process* clock_driver_ = nullptr;
 };
 
 }  // namespace ahbp::sim

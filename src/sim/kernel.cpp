@@ -47,20 +47,6 @@ void Kernel::unregister_process(Process& p) {
   runnable_.erase(std::remove(runnable_.begin(), runnable_.end(), &p), runnable_.end());
 }
 
-void Kernel::make_runnable(Process& p) {
-  if (p.in_runnable_ || p.done_) return;
-  p.in_runnable_ = true;
-  runnable_.push_back(&p);
-}
-
-void Kernel::schedule_delta(Event& e) { delta_queue_.push_back(&e); }
-
-void Kernel::schedule_timed(Event& e, SimTime abs_time, std::uint64_t stamp) {
-  timed_queue_.push(TimedEntry{abs_time, timed_seq_++, &e, stamp});
-}
-
-void Kernel::request_update(SignalBase& s) { update_queue_.push_back(&s); }
-
 void Kernel::add_timestep_callback(std::function<void()> cb) {
   timestep_callbacks_.push_back(std::move(cb));
 }
@@ -83,7 +69,11 @@ void Kernel::do_delta() {
   }
   stats_.processes_executed += runnable_.size();
   runnable_.clear();
+  ++delta_count_;
+  update_and_notify();
+}
 
+void Kernel::update_and_notify() {
   // --- update -----------------------------------------------------------
   // Applying a signal's new value may queue its value-changed event as a
   // delta notification (handled below). The queue is swapped into a
@@ -101,7 +91,42 @@ void Kernel::do_delta() {
     e->pending_ = Event::Pending::kNone;
     e->trigger();
   }
-  ++delta_count_;
+}
+
+void Kernel::advance_to(SimTime next) {
+  now_ = next;
+  ++stats_.time_advances;
+  // Collect every valid notification scheduled for this instant, in
+  // FIFO order. Triggering only makes processes runnable, so checking
+  // validity up front is the same as checking it before each trigger.
+  due_.clear();
+  bool clocks_only = true;
+  while (!timed_queue_.empty() && timed_queue_.top().time == now_) {
+    const TimedEntry entry = timed_queue_.top();
+    timed_queue_.pop();
+    Event* e = entry.event;
+    if (e->pending_ != Event::Pending::kTimed || e->stamp_ != entry.stamp) {
+      continue;  // cancelled or overridden
+    }
+    e->pending_ = Event::Pending::kNone;
+    ++stats_.timed_notifications;
+    clocks_only = clocks_only && e->clock_driver_ != nullptr;
+    due_.push_back(e);
+  }
+  if (!clocks_only) {
+    for (Event* e : due_) e->trigger();
+    return;
+  }
+  // Clock-edge fast path: a tick only wakes its clock's driver, and the
+  // first delta would run nothing else, so run the drivers here (they
+  // count as activations) and apply their levels. The edge events then
+  // make their subscribers runnable for the first delta.
+  for (Event* e : due_) {
+    e->last_triggered_ = now_;
+    e->clock_driver_->execute();
+  }
+  stats_.processes_executed += due_.size();
+  update_and_notify();
 }
 
 void Kernel::fire_timestep_callbacks() {
@@ -163,16 +188,18 @@ void Kernel::run(SimTime duration) {
                                        : std::chrono::steady_clock::time_point{};
   std::uint64_t wall_check = 0;
 
+  const auto check_event_budget = [&] {
+    if (stats_.processes_executed < event_limit) return;
+    running_ = false;
+    throw BudgetExceededError("max-event budget (" +
+                              std::to_string(budget_.max_events) +
+                              " activations) exhausted" + watchdog_context());
+  };
+
   while (!stop_requested_) {
     if (!runnable_.empty() || !delta_queue_.empty() || !update_queue_.empty()) {
       do_delta();
-      if (stats_.processes_executed >= event_limit) {
-        running_ = false;
-        throw BudgetExceededError("max-event budget (" +
-                                  std::to_string(budget_.max_events) +
-                                  " activations) exhausted" +
-                                  watchdog_context());
-      }
+      check_event_budget();
       continue;
     }
     // Time advance: settled values at the current time are final.
@@ -220,20 +247,9 @@ void Kernel::run(SimTime duration) {
             watchdog_context());
       }
     }
-    now_ = next;
-    ++stats_.time_advances;
-    // Trigger every valid event scheduled for this instant.
-    while (!timed_queue_.empty() && timed_queue_.top().time == now_) {
-      const TimedEntry entry = timed_queue_.top();
-      timed_queue_.pop();
-      Event* e = entry.event;
-      if (e->pending_ != Event::Pending::kTimed || e->stamp_ != entry.stamp) {
-        continue;  // cancelled or overridden
-      }
-      e->pending_ = Event::Pending::kNone;
-      e->trigger();
-      ++stats_.timed_notifications;
-    }
+    advance_to(next);
+    // The clock-edge fast path runs the drivers' activations here.
+    check_event_budget();
   }
 
   // sc_start-style semantics: a bounded run leaves time at exactly

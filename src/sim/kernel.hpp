@@ -11,6 +11,22 @@
 //   4. advance  : when no process is runnable, jump to the earliest timed
 //                 notification and trigger it
 //
+// Two fast paths leave what every process observes unchanged:
+//
+//   * An update-phase notification that nothing could hear -- the event
+//     has no static or dynamic subscriber and no pending notification to
+//     override -- is not queued; only Event::last_triggered() advances.
+//     No process runs between the update and notify phases, so no
+//     subscriber can appear before the skipped trigger would have fired.
+//   * When every valid timed notification at the new instant is a Clock
+//     tick, the advance runs the clock drivers and applies their levels
+//     itself, so edge-sensitive processes run in the first delta of the
+//     instant instead of the second. The drivers still count as process
+//     activations (RunBudget::max_events holds as before). If any other
+//     timed notification shares the instant, the drivers run in the
+//     first delta as usual, so a thread woken by a timed wait there
+//     still reads the pre-edge level (IEEE 1666).
+//
 // One Kernel instance is alive *per thread* (enforced); top-level objects
 // attach to Kernel::current(), which is thread-local. Independent
 // simulations may therefore run concurrently, one kernel per
@@ -26,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/process.hpp"
 #include "sim/report.hpp"
 #include "sim/time.hpp"
 
@@ -33,7 +50,6 @@ namespace ahbp::sim {
 
 class Object;
 class Event;
-class Process;
 class SignalBase;
 
 /// Execution budget enforced by Kernel::run() -- the watchdog that keeps
@@ -104,7 +120,10 @@ public:
 
   /// Current simulation time.
   [[nodiscard]] SimTime now() const { return now_; }
-  /// Number of delta cycles executed so far.
+  /// Number of delta cycles executed so far. Inside an evaluation phase
+  /// this is the index of the running delta; it is incremented before
+  /// that delta's update phase, so values applied there first become
+  /// visible in the delta numbered delta_count().
   [[nodiscard]] std::uint64_t delta_count() const { return delta_count_; }
 
   /// Scheduler activity counters, maintained on the hot path at the
@@ -164,22 +183,35 @@ public:
   [[nodiscard]] const std::vector<Object*>& objects() const { return objects_; }
 
   /// @name Internal interfaces (used by Object/Event/Process/Signal)
+  /// The per-event entry points are defined here so they inline into
+  /// the trigger and update loops that call them every cycle.
   ///@{
   void register_object(Object& o);
   void unregister_object(Object& o);
   void register_process(Process& p);
   void unregister_process(Process& p);
-  void make_runnable(Process& p);
-  void schedule_delta(Event& e);
-  void schedule_timed(Event& e, SimTime abs_time, std::uint64_t stamp);
-  void request_update(SignalBase& s);
+  void make_runnable(Process& p) {
+    if (p.in_runnable_ || p.done_) return;
+    p.in_runnable_ = true;
+    runnable_.push_back(&p);
+  }
+  void schedule_delta(Event& e) { delta_queue_.push_back(&e); }
+  void schedule_timed(Event& e, SimTime abs_time, std::uint64_t stamp) {
+    timed_queue_.push(TimedEntry{abs_time, timed_seq_++, &e, stamp});
+  }
+  void request_update(SignalBase& s) { update_queue_.push_back(&s); }
   ///@}
 
 private:
   void initialize();
-  /// Runs eval/update/notify once; returns true if further deltas are
-  /// pending at the current time.
+  /// Runs one delta cycle: evaluate, then update and delta-notify.
   void do_delta();
+  /// The update and delta-notify phases: applies buffered signal writes
+  /// and triggers the delta-queued events.
+  void update_and_notify();
+  /// Advances time to `next` and triggers the notifications due there,
+  /// taking the clock-edge fast path when only clock ticks are due.
+  void advance_to(SimTime next);
   void fire_timestep_callbacks();
 
   struct TimedEntry {
@@ -221,6 +253,8 @@ private:
   /// so the hot loop reuses capacity instead of allocating per cycle.
   std::vector<SignalBase*> update_scratch_;
   std::vector<Event*> delta_scratch_;
+  /// Valid timed notifications due at the instant being advanced to.
+  std::vector<Event*> due_;
 
   static thread_local Kernel* current_;
 };

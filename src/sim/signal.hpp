@@ -87,7 +87,7 @@ public:
   /// of the current time step.
   [[nodiscard]] bool event() const {
     return last_change_time_ == kernel().now() &&
-           last_change_delta_ + 1 == kernel().delta_count();
+           last_change_delta_ == kernel().delta_count();
   }
 
   void apply_update() override {
@@ -95,12 +95,13 @@ public:
     if (next_ == current_) return;
     const bool was = to_bool(current_);
     current_ = next_;
+    // The delta that first sees the new value (see Kernel::delta_count).
     last_change_time_ = kernel().now();
     last_change_delta_ = kernel().delta_count();
-    changed_.notify_delta();
+    changed_.notify_delta_from_update();
     if constexpr (std::same_as<T, bool>) {
-      if (!was && current_) posedge_.notify_delta();
-      if (was && !current_) negedge_.notify_delta();
+      if (!was && current_) posedge_.notify_delta_from_update();
+      if (was && !current_) negedge_.notify_delta_from_update();
     }
   }
 

@@ -171,6 +171,25 @@ TEST(Thread, ExceptionPropagatesOutOfRun) {
   EXPECT_THROW(k.run(), SimError);
 }
 
+TEST(Thread, RewaitOnSameEventFromWakeupWakesOnNextTrigger) {
+  Kernel k;
+  Module top(nullptr, "top");
+  Event ev(&top, "ev");
+  // Re-arms `ev` 5 ns after each trigger (and once at start).
+  Method ticker(&top, "ticker", [&] { ev.notify(SimTime::ns(5)); });
+  ticker.sensitive(ev);
+  std::vector<SimTime> woke;
+  Thread t(&top, "t", [&]() -> Task {
+    for (;;) {
+      co_await wait(ev);  // re-subscribes from its own wake-up
+      woke.push_back(k.now());
+    }
+  });
+  k.run(SimTime::ns(17));
+  EXPECT_EQ(woke, (std::vector<SimTime>{SimTime::ns(5), SimTime::ns(10),
+                                        SimTime::ns(15)}));
+}
+
 TEST(Thread, ZeroDelayWaitResumesSameTime) {
   Kernel k;
   Module top(nullptr, "top");
