@@ -30,7 +30,6 @@ AhbPowerEstimator::AhbPowerEstimator(sim::Module* parent, std::string name,
         telemetry::WindowSeries::Config{
             .window_ticks = cfg_.telemetry_window_cycles,
             .tracks = {"arb", "dec", "m2s", "s2m"}});
-    events_ = std::make_unique<telemetry::TraceEventLog>();
   }
   if (cfg_.txn_trace) {
     txn_ = std::make_unique<TransactionTracer>(
@@ -83,14 +82,12 @@ void AhbPowerEstimator::on_cycle() {
     windows_->record(cycle, {r.blocks.arb, r.blocks.dec, r.blocks.m2s,
                              r.blocks.s2m});
     if (!run_open_) {
-      run_mode_ = r.mode;
-      run_start_ = cycle;
+      run_ = ModeRun{.start = cycle, .dur = 0, .mode = r.mode};
       run_open_ = true;
-    } else if (r.mode != run_mode_) {
-      events_->add_complete(to_string(run_mode_), "bus", run_start_,
-                            cycle - run_start_);
-      run_mode_ = r.mode;
-      run_start_ = cycle;
+    } else if (r.mode != run_.mode) {
+      run_.dur = cycle - run_.start;
+      runs_.push_back(run_);
+      run_ = ModeRun{.start = cycle, .dur = 0, .mode = r.mode};
     }
   }
   if (h_cycle_energy_ != nullptr) {
@@ -101,8 +98,8 @@ void AhbPowerEstimator::on_cycle() {
 void AhbPowerEstimator::flush_telemetry() {
   if (windows_) {
     if (run_open_) {
-      events_->add_complete(to_string(run_mode_), "bus", run_start_,
-                            fsm_.cycles() - run_start_);
+      run_.dur = fsm_.cycles() - run_.start;
+      runs_.push_back(run_);
       run_open_ = false;
     }
     windows_->flush();
@@ -112,6 +109,17 @@ void AhbPowerEstimator::flush_telemetry() {
     fsm_.publish_metrics(*cfg_.metrics);
     metrics_published_ = true;
   }
+}
+
+std::optional<telemetry::TraceEventLog> AhbPowerEstimator::trace_events()
+    const {
+  if (!windows_) return std::nullopt;
+  telemetry::TraceEventLog log;
+  log.reserve(runs_.size());
+  for (const ModeRun& r : runs_) {
+    log.add_complete(to_string(r.mode), "bus", r.start, r.dur);
+  }
+  return log;
 }
 
 sim::Clock& AhbPowerEstimator::bus_clock() const { return bus_.clock(); }

@@ -11,14 +11,19 @@
 //
 // Observability: with `telemetry_window_cycles` set, every sampled cycle
 // publishes its per-block energy into a cycle-windowed
-// telemetry::WindowSeries and runs of identical bus modes become
-// duration events in a telemetry::TraceEventLog -- ready for the CSV /
-// JSON / Chrome trace_event exporters (docs/OBSERVABILITY.md). With
-// `metrics` set, hot-path counters land in the given MetricsRegistry.
+// telemetry::WindowSeries, and runs of identical bus modes are kept as
+// plain {start, dur, mode} records. trace_events() turns those into
+// duration events in a telemetry::TraceEventLog at export time -- ready
+// for the CSV / JSON / Chrome trace_event exporters
+// (docs/OBSERVABILITY.md). With `metrics` set, hot-path counters land in
+// the given MetricsRegistry.
 
-#include <array>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "ahb/bus.hpp"
 #include "power/attribution.hpp"
@@ -30,6 +35,16 @@
 #include "telemetry/window.hpp"
 
 namespace ahbp::power {
+
+/// One run of consecutive same-mode bus cycles: a bus-instruction trace
+/// slice, stored as plain bytes until AhbPowerEstimator::trace_events()
+/// renders it.
+struct ModeRun {
+  std::uint64_t start = 0;  ///< first cycle of the run
+  std::uint64_t dur = 0;    ///< cycles in the run
+  BusMode mode = BusMode::kIdle;
+};
+static_assert(std::is_trivially_copyable_v<ModeRun>);
 
 /// Samples a finalized AhbBus once per cycle and runs the power FSM.
 class AhbPowerEstimator : public sim::Module {
@@ -67,10 +82,11 @@ public:
   [[nodiscard]] const telemetry::WindowSeries* windows() const {
     return windows_.get();
   }
-  /// Bus-instruction duration events; nullptr when telemetry is off.
-  [[nodiscard]] const telemetry::TraceEventLog* trace_events() const {
-    return events_.get();
-  }
+  /// Bus-instruction duration events, one "bus" slice per closed
+  /// ModeRun, named after its mode and in cycle order; nullopt when
+  /// telemetry is off. Built on demand: each call renders every run
+  /// again. flush_telemetry() closes the open run.
+  [[nodiscard]] std::optional<telemetry::TraceEventLog> trace_events() const;
   /// Per-transaction tracer; nullptr unless Config::txn_trace was set.
   /// flush_telemetry() closes in-flight transactions before you read it.
   [[nodiscard]] const TransactionTracer* txn_tracer() const {
@@ -101,11 +117,11 @@ private:
   Config cfg_;
   PowerFsm fsm_;
   std::unique_ptr<telemetry::WindowSeries> windows_;
-  std::unique_ptr<telemetry::TraceEventLog> events_;
   std::unique_ptr<TransactionTracer> txn_;
-  /// Current run of consecutive same-mode cycles (one trace slice).
-  BusMode run_mode_ = BusMode::kIdle;
-  std::uint64_t run_start_ = 0;
+  /// Closed bus-mode runs, in cycle order (trace_events() renders them).
+  std::vector<ModeRun> runs_;
+  /// Current run of consecutive same-mode cycles (dur not yet known).
+  ModeRun run_;
   bool run_open_ = false;
   bool metrics_published_ = false;
   telemetry::Histogram* h_cycle_energy_ = nullptr;

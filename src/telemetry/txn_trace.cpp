@@ -80,8 +80,8 @@ void append_txn_spans(TraceEventLog& spans, const TxnRecord& r) {
                      ", \"waits\": " + std::to_string(r.wait_cycles) +
                      ", \"retries\": " + std::to_string(r.retries) +
                      ", \"energy_j\": " + json_number(r.energy_j) + "}";
-  spans.add_complete(r.kind + (r.write ? " WR" : " RD"), "txn", r.req_tick,
-                     dur, tid, std::move(args));
+  spans.add_complete(std::string(r.kind) + (r.write ? " WR" : " RD"), "txn",
+                     r.req_tick, dur, tid, std::move(args));
   if (r.start_tick > r.req_tick) {
     spans.add_complete("arb", "txn", r.req_tick, r.start_tick - r.req_tick,
                        tid, {});

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "telemetry/exporters.hpp"
@@ -26,7 +28,10 @@ struct TxnRecord {
   std::uint64_t id = 0;        ///< sequence number, in start order
   unsigned master = 0;         ///< owning master index
   unsigned slave = 0xFF;       ///< addressed slave index (0xFF = none seen)
-  std::string kind;            ///< burst kind, e.g. "SINGLE", "INCR4"
+  /// Burst kind, e.g. "SINGLE", "INCR4". A view, not a copy: producers
+  /// point it at static storage (the ahb::to_string(Burst) literals or
+  /// "UNKNOWN"), so a record is plain bytes.
+  std::string_view kind;
   bool write = false;          ///< direction of the transfer
   std::uint64_t req_tick = 0;    ///< first cycle the master waited for grant
   std::uint64_t start_tick = 0;  ///< first address-phase cycle
@@ -41,6 +46,7 @@ struct TxnRecord {
   std::uint32_t errors = 0;      ///< ERROR responses received
   double energy_j = 0.0;         ///< energy attributed to this transaction [J]
 };
+static_assert(std::is_trivially_copyable_v<TxnRecord>);
 
 /// Append-only log of completed transactions, in completion order.
 class TxnTraceLog {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+
 namespace ahbp::power {
 namespace {
 
@@ -23,6 +26,34 @@ TEST(Hamming, Symmetric) {
 TEST(Hamming, ConstexprUsable) {
   static_assert(hamming(0b111, 0b000) == 3);
   SUCCEED();
+}
+
+TEST(Hamming, SwarMatchesPopcount) {
+  const auto popcount_xor = [](std::uint64_t a, std::uint64_t b) {
+    return static_cast<unsigned>(std::popcount(a ^ b));
+  };
+  EXPECT_EQ(hamming(0, 0), popcount_xor(0, 0));
+  EXPECT_EQ(hamming(~0ull, 0), popcount_xor(~0ull, 0));
+  EXPECT_EQ(hamming(~0ull, ~0ull), popcount_xor(~0ull, ~0ull));
+  for (unsigned i = 0; i < 64; ++i) {
+    const std::uint64_t bit = 1ull << i;
+    EXPECT_EQ(hamming(bit, 0), popcount_xor(bit, 0)) << i;
+    EXPECT_EQ(hamming(0, bit), 1u) << i;
+    EXPECT_EQ(hamming(~0ull, bit), 63u) << i;
+    EXPECT_EQ(hamming(~bit, 0), 63u) << i;
+  }
+  // Uniform words toggle ~32 bits; AND-ing draws thins the XOR so the
+  // sparse and dense ends of the range are covered too.
+  std::mt19937_64 rng(0x5eed);
+  std::uint64_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t a = rng();
+    std::uint64_t b = rng();
+    if (i % 4 == 1) b = a ^ (rng() & rng() & rng());
+    if (i % 4 == 2) b = ~a ^ (rng() & rng() & rng());
+    if (hamming(a, b) != popcount_xor(a, b)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(ActivityChannel, FirstObservationCountsNothing) {

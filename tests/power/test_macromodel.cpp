@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/report.hpp"
 
 namespace ahbp::power {
@@ -115,6 +117,84 @@ TEST(ArbiterFsmModel, HandoverDominatesIdle) {
 
 TEST(ArbiterFsmModel, RejectsDegenerate) {
   EXPECT_THROW(ArbiterFsmModel(1, gate::Technology{}), SimError);
+}
+
+// The inline energy() of each macromodel folds its constant factors at
+// construction. These check it bit for bit (EXPECT_EQ on doubles)
+// against the closed form written out in full, for every Hamming
+// distance the model can see: the folding must keep the expression's
+// association order, or the pinned joules of GoldenStats would move.
+
+TEST(DecoderModel, InlineEnergyIsTheClosedFormBitForBit) {
+  gate::Technology odd;
+  odd.vdd = 1.7;
+  odd.c_node = 7.3e-15;
+  odd.c_out = 41e-15;
+  for (const gate::Technology& tech : {gate::Technology{}, odd}) {
+    for (const unsigned n_o : {2u, 4u, 5u, 16u}) {
+      const DecoderModel m(n_o, tech);
+      const unsigned n_i = m.n_inputs();
+      for (unsigned hd = 0; hd <= 64; ++hd) {
+        const unsigned hd_out = hd >= 1 ? 1u : 0u;
+        const double closed =
+            tech.vdd * tech.vdd / 4.0 *
+            (static_cast<double>(n_o) * n_i * tech.c_node * hd +
+             2.0 * hd_out * tech.c_out);
+        EXPECT_EQ(m.energy(hd), closed) << "n_o=" << n_o << " hd=" << hd;
+      }
+    }
+  }
+}
+
+TEST(MuxModel, InlineEnergyIsTheClosedFormBitForBit) {
+  struct Shape {
+    unsigned w, n;
+    MuxModel::Coefficients k;
+  };
+  // The PowerFsm's M2S (addr+control+data) and S2M (data+resp) muxes,
+  // plus a charlib-style re-fitted coefficient set.
+  const Shape shapes[] = {{72, 3, {}},
+                          {35, 4, {}},
+                          {16, 2, {.k_in = 1.37, .k_sel = 0.61, .k_out = 2.9}}};
+  const gate::Technology tech;
+  for (const Shape& sh : shapes) {
+    const MuxModel m(sh.w, sh.n, tech, sh.k);
+    for (unsigned hd_sel = 0; hd_sel <= 4; ++hd_sel) {
+      for (unsigned hd_in = 0; hd_in <= sh.w; ++hd_in) {
+        for (unsigned hd_out = 0; hd_out <= sh.w; ++hd_out) {
+          const double closed =
+              tech.vdd * tech.vdd / 4.0 * tech.c_node *
+              (sh.k.k_in * hd_in +
+               sh.k.k_sel * static_cast<double>(sh.w) * hd_sel +
+               sh.k.k_out * hd_out * (tech.c_out / tech.c_node));
+          ASSERT_EQ(m.energy(hd_in, hd_sel, hd_out), closed)
+              << "w=" << sh.w << " hd_in=" << hd_in << " hd_sel=" << hd_sel
+              << " hd_out=" << hd_out;
+        }
+      }
+    }
+  }
+}
+
+TEST(ArbiterFsmModel, InlineEnergyIsTheClosedFormBitForBit) {
+  const gate::Technology tech;
+  const double vdd2_4 = tech.vdd * tech.vdd / 4.0;
+  // state_bits = ceil(log2 n_masters)
+  for (const auto& [n, state_bits] : {std::pair{2u, 1u}, std::pair{3u, 2u},
+                                     std::pair{4u, 2u}, std::pair{5u, 3u}}) {
+    const ArbiterFsmModel m(n, tech);
+    const double e_idle = vdd2_4 * tech.c_node * 0.5 * state_bits;
+    const double e_req = vdd2_4 * tech.c_node * 10.0;
+    const double e_grant =
+        vdd2_4 * (tech.c_node * 5.0 * state_bits + 2.0 * tech.c_out);
+    for (unsigned hd_req = 0; hd_req <= n; ++hd_req) {
+      for (const bool handover : {false, true}) {
+        EXPECT_EQ(m.energy(hd_req, handover),
+                  e_idle + e_req * hd_req + (handover ? e_grant : 0.0))
+            << "n=" << n << " hd_req=" << hd_req << " handover=" << handover;
+      }
+    }
+  }
 }
 
 TEST(Macromodels, EnergyScalesWithVddSquared) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "ahb/ahb.hpp"
 #include "power/power.hpp"
@@ -53,7 +54,7 @@ TEST(EstimatorTelemetry, DisabledByDefault) {
   TelemetryBench b(AhbPowerEstimator::Config{});
   b.run_cycles(100);
   EXPECT_EQ(b.est->windows(), nullptr);
-  EXPECT_EQ(b.est->trace_events(), nullptr);
+  EXPECT_FALSE(b.est->trace_events().has_value());
   b.est->flush_telemetry();  // no-op, must not crash
 }
 
@@ -99,8 +100,9 @@ TEST(EstimatorTelemetry, TraceEventsTileTheRun) {
   b.run_cycles(500);
   b.est->flush_telemetry();
 
-  ASSERT_NE(b.est->trace_events(), nullptr);
-  const auto& events = b.est->trace_events()->events();
+  const auto log = b.est->trace_events();
+  ASSERT_TRUE(log.has_value());
+  const auto& events = log->events();
   ASSERT_FALSE(events.empty());
   // Slices are contiguous, non-overlapping, and cover every sampled
   // cycle: each run of same-mode cycles becomes exactly one slice.
@@ -119,6 +121,31 @@ TEST(EstimatorTelemetry, TraceEventsTileTheRun) {
     EXPECT_TRUE(e.name == "IDLE" || e.name == "IDLE_HO" || e.name == "READ" ||
                 e.name == "WRITE")
         << e.name;
+  }
+}
+
+TEST(EstimatorTelemetry, TraceEventsAreRenderedAtExport) {
+  static_assert(std::is_trivially_copyable_v<ModeRun>);
+  TelemetryBench b(
+      AhbPowerEstimator::Config{.telemetry_window_cycles = 100});
+  b.run_cycles(400);
+  // Before the flush the open run is not yet a slice; the flush adds it
+  // as the tail, ending at the last sampled cycle.
+  const std::size_t closed = b.est->trace_events()->size();
+  b.est->flush_telemetry();
+  const auto log = b.est->trace_events();
+  ASSERT_TRUE(log.has_value());
+  ASSERT_EQ(log->size(), closed + 1);
+  const telemetry::TraceEvent& tail = log->events().back();
+  EXPECT_EQ(tail.start_tick + tail.dur_ticks, b.est->fsm().cycles());
+  for (std::size_t i = 0; i < log->size(); ++i) {
+    const telemetry::TraceEvent& e = log->events()[i];
+    EXPECT_EQ(e.tid, 1);
+    EXPECT_TRUE(e.args_json.empty());
+    // One slice per mode change: neighbours never share a mode.
+    if (i > 0) {
+      EXPECT_NE(e.name, log->events()[i - 1].name);
+    }
   }
 }
 

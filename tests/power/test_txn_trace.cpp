@@ -148,6 +148,8 @@ TEST(TxnTracer, Incr4BurstWithBusyBeat) {
   ASSERT_EQ(tracer.log().size(), 1u);
   const telemetry::TxnRecord& r = tracer.log().records()[0];
   EXPECT_EQ(r.kind, "INCR4");
+  // A view of the burst name's literal, not a copy.
+  EXPECT_EQ(r.kind.data(), ahb::to_string(ahb::Burst::kIncr4));
   EXPECT_FALSE(r.write);
   EXPECT_EQ(r.arb_cycles, 0u);
   EXPECT_EQ(r.addr_cycles, 5u);  // 4 address beats + 1 BUSY
