@@ -34,15 +34,14 @@ struct LegRun {
 };
 
 LegRun run_cycle_accurate() {
-  bench::PaperSystem sys;
+  campaign::System sys;
   const auto t0 = Clock::now();
-  sys.run(sim::SimTime::us(1000));
+  sys.kernel.run(sim::SimTime::us(1000));
   LegRun r;
   r.ms = ms_since(t0);
   r.energy = sys.est->total_energy();
   r.cycles = sys.est->fsm().cycles();
-  r.transfers = sys.m1.stats().writes + sys.m1.stats().reads +
-                sys.m2.stats().writes + sys.m2.stats().reads;
+  for (const auto& m : sys.masters) r.transfers += m->stats().writes + m->stats().reads;
   return r;
 }
 

@@ -35,7 +35,7 @@ struct Binned {
 int main() {
   std::puts("=== Ablation: instruction-set granularity (paper Sec. 3) ===\n");
 
-  bench::PaperSystem sys;
+  campaign::System sys;
   // A custom report sink re-bins the same per-cycle energies at all
   // three granularities simultaneously.
   struct MultiGranularitySink : power::PowerReportIf {
@@ -60,7 +60,7 @@ int main() {
                                  .n_slaves = sys.bus.n_slaves()});
 
   power::BusActivityProbe probe(&sys.top, "probe", sys.bus, sink);
-  sys.run(sim::SimTime::us(50));
+  sys.kernel.run(sim::SimTime::us(50));
 
   const auto& paper_tab = sink.fsm.instructions();
 

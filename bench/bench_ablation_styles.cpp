@@ -35,35 +35,35 @@ struct StyleRun {
 
 StyleRun run_functional() {
   const auto t0 = Clock::now();
-  bench::PaperSystem sys({.power_enabled = false});
-  sys.run(kSimTime);
+  campaign::System sys({.power = false});
+  sys.kernel.run(kSimTime);
   return {ms_since(t0), 0.0, 0};
 }
 
 StyleRun run_local() {
   const auto t0 = Clock::now();
-  bench::PaperSystem sys;
-  sys.run(kSimTime);
+  campaign::System sys;
+  sys.kernel.run(kSimTime);
   return {ms_since(t0), sys.est->total_energy(), 0};
 }
 
 StyleRun run_global() {
   const auto t0 = Clock::now();
-  bench::PaperSystem sys({.power_enabled = false});
+  campaign::System sys({.power = false});
   power::GlobalPowerAnalyzer an(&sys.top, "an",
                                 power::PowerFsm::Config{
                                     .n_masters = sys.bus.n_masters(),
                                     .n_slaves = sys.bus.n_slaves()});
   power::BusActivityProbe probe(&sys.top, "probe", sys.bus, an);
-  sys.run(kSimTime);
+  sys.kernel.run(kSimTime);
   return {ms_since(t0), an.total_energy(), probe.posted()};
 }
 
 StyleRun run_private() {
   const auto t0 = Clock::now();
-  bench::PaperSystem sys({.power_enabled = false});
+  campaign::System sys({.power = false});
   power::PrivatePowerModel priv(&sys.top, "priv", sys.bus);
-  sys.run(kSimTime);
+  sys.kernel.run(kSimTime);
   return {ms_since(t0), priv.total_energy(), priv.event_count()};
 }
 

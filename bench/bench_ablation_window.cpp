@@ -17,18 +17,17 @@ int main() {
 
   // 20 ns .. 4 us in whole bus cycles.
   for (const std::uint64_t cycles : {2, 5, 10, 50, 100, 400}) {
-    bench::PaperSystem sys({.telemetry_window_cycles = cycles});
-    sys.run(sim::SimTime::us(4));
-    sys.est->flush_telemetry();
+    campaign::System sys({.telemetry_window_cycles = cycles});
+    sys.run(400);  // 4 us
     const telemetry::WindowSeries& ws = *sys.est->windows();
     double peak = 0.0, mean = 0.0;
     for (const auto& w : ws.windows()) {
-      const double p = power::window_power(ws, w, bench::kCycle, "total");
+      const double p = power::window_power(ws, w, campaign::kCycle, "total");
       peak = std::max(peak, p);
       mean += p;
     }
     mean /= static_cast<double>(ws.windows().size());
-    const sim::SimTime window = bench::kCycle * static_cast<std::int64_t>(cycles);
+    const sim::SimTime window = campaign::kCycle * static_cast<std::int64_t>(cycles);
     std::printf("%12s %10zu %14s %14s %11.2fx\n", window.to_string().c_str(),
                 ws.windows().size(), power::format_power(mean).c_str(),
                 power::format_power(peak).c_str(), peak / mean);

@@ -14,11 +14,11 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys;
+  campaign::System sys;
   power::GateLevelCrossCheck check(&sys.top, "cosim", sys.bus);
 
   std::puts("=== Live gate-level co-simulation validation (50 us workload) ===\n");
-  sys.run(sim::SimTime::us(50));
+  sys.kernel.run(sim::SimTime::us(50));
 
   auto report = [](const char* name, const power::CosimSeries& s) {
     std::printf("%-24s model %-12s gate %-12s ratio %5.2f  corr %5.3f\n", name,

@@ -10,20 +10,19 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
+  campaign::System sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 3: total AHB power consumption (first 4 us) ===\n");
 
-  sys.run(sim::SimTime::us(4));
-  sys.est->flush_telemetry();
+  sys.run(400);  // 4 us
 
   const telemetry::WindowSeries& ws = *sys.est->windows();
-  std::fputs(power::format_trace(ws, bench::kCycle, "total", sim::SimTime::us(4))
+  std::fputs(power::format_trace(ws, campaign::kCycle, "total", sim::SimTime::us(4))
                  .c_str(),
              stdout);
 
   double peak = 0.0, mean = 0.0;
   for (const auto& w : ws.windows()) {
-    const double p = power::window_power(ws, w, bench::kCycle, "total");
+    const double p = power::window_power(ws, w, campaign::kCycle, "total");
     peak = std::max(peak, p);
     mean += p;
   }
@@ -35,7 +34,7 @@ int main() {
   telemetry::write_window_csv_file(
       "fig3_total_power.csv", ws,
       telemetry::ExportMeta{.tick_ns = static_cast<double>(
-                                bench::kCycle.nanoseconds())});
+                                campaign::kCycle.nanoseconds())});
   std::puts("full series written to fig3_total_power.csv");
   return 0;
 }

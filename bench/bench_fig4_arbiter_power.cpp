@@ -10,22 +10,21 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
+  campaign::System sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 4: arbiter power consumption (first 4 us) ===\n");
 
-  sys.run(sim::SimTime::us(4));
-  sys.est->flush_telemetry();
+  sys.run(400);  // 4 us
 
   const telemetry::WindowSeries& ws = *sys.est->windows();
   std::fputs(
-      power::format_trace(ws, bench::kCycle, "arb", sim::SimTime::us(4)).c_str(),
+      power::format_trace(ws, campaign::kCycle, "arb", sim::SimTime::us(4)).c_str(),
       stdout);
 
   const power::BlockEnergy& e = sys.est->block_totals();
   double peak_arb = 0.0, peak_m2s = 0.0;
   for (const auto& w : ws.windows()) {
-    peak_arb = std::max(peak_arb, power::window_power(ws, w, bench::kCycle, "arb"));
-    peak_m2s = std::max(peak_m2s, power::window_power(ws, w, bench::kCycle, "m2s"));
+    peak_arb = std::max(peak_arb, power::window_power(ws, w, campaign::kCycle, "arb"));
+    peak_m2s = std::max(peak_m2s, power::window_power(ws, w, campaign::kCycle, "m2s"));
   }
   std::printf("\npeak arbiter power: %s   peak M2S power: %s\n",
               power::format_power(peak_arb).c_str(),

@@ -10,20 +10,19 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys({.telemetry_window_cycles = 10});  // 100 ns windows
+  campaign::System sys({.telemetry_window_cycles = 10});  // 100 ns windows
   std::puts("=== Figure 5: M2S multiplexer power consumption (first 4 us) ===\n");
 
-  sys.run(sim::SimTime::us(4));
-  sys.est->flush_telemetry();
+  sys.run(400);  // 4 us
 
   const telemetry::WindowSeries& ws = *sys.est->windows();
   std::fputs(
-      power::format_trace(ws, bench::kCycle, "m2s", sim::SimTime::us(4)).c_str(),
+      power::format_trace(ws, campaign::kCycle, "m2s", sim::SimTime::us(4)).c_str(),
       stdout);
 
   double peak = 0.0;
   for (const auto& w : ws.windows()) {
-    peak = std::max(peak, power::window_power(ws, w, bench::kCycle, "m2s"));
+    peak = std::max(peak, power::window_power(ws, w, campaign::kCycle, "m2s"));
   }
   const power::BlockEnergy& e = sys.est->block_totals();
   std::printf("\npeak M2S power: %s   M2S share of total energy: %.2f %%\n",

@@ -10,10 +10,10 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys;
+  campaign::System sys;
   std::puts("=== Figure 6: AHB sub-blocks power contribution (50 us) ===\n");
 
-  sys.run(sim::SimTime::us(50));
+  sys.kernel.run(sim::SimTime::us(50));
 
   const power::BlockEnergy& e = sys.est->block_totals();
   std::fputs(power::format_block_breakdown(e).c_str(), stdout);

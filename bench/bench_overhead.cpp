@@ -46,9 +46,9 @@ constexpr auto kSimTime = sim::SimTime::us(200);  // 20k cycles @ 100 MHz
 
 void BM_FunctionalOnly(benchmark::State& state) {
   for (auto _ : state) {
-    bench::PaperSystem sys({.power_enabled = false});
-    sys.run(kSimTime);
-    benchmark::DoNotOptimize(sys.m1.stats().writes);
+    campaign::System sys({.power = false});
+    sys.kernel.run(kSimTime);
+    benchmark::DoNotOptimize(sys.masters[0]->stats().writes);
   }
 }
 BENCHMARK(BM_FunctionalOnly)->Unit(benchmark::kMillisecond);
@@ -57,10 +57,10 @@ void BM_PowerDisabled(benchmark::State& state) {
   // Estimator constructed but bypassed at runtime (POWERTEST compiled in
   // but switched off).
   for (auto _ : state) {
-    bench::PaperSystem sys;
+    campaign::System sys;
     sys.est->set_enabled(false);
-    sys.run(kSimTime);
-    benchmark::DoNotOptimize(sys.m1.stats().writes);
+    sys.kernel.run(kSimTime);
+    benchmark::DoNotOptimize(sys.masters[0]->stats().writes);
   }
 }
 BENCHMARK(BM_PowerDisabled)->Unit(benchmark::kMillisecond);
@@ -68,8 +68,8 @@ BENCHMARK(BM_PowerDisabled)->Unit(benchmark::kMillisecond);
 void BM_PowerLocalStyle(benchmark::State& state) {
   double energy = 0;
   for (auto _ : state) {
-    bench::PaperSystem sys;
-    sys.run(kSimTime);
+    campaign::System sys;
+    sys.kernel.run(kSimTime);
     energy = sys.est->total_energy();
     benchmark::DoNotOptimize(energy);
   }
@@ -79,8 +79,8 @@ BENCHMARK(BM_PowerLocalStyle)->Unit(benchmark::kMillisecond);
 
 void BM_PowerLocalWithTrace(benchmark::State& state) {
   for (auto _ : state) {
-    bench::PaperSystem sys({.telemetry_window_cycles = 10});
-    sys.run(kSimTime);
+    campaign::System sys({.telemetry_window_cycles = 10});
+    sys.kernel.run(kSimTime);
     benchmark::DoNotOptimize(sys.est->total_energy());
   }
 }
@@ -92,8 +92,8 @@ void BM_PowerTelemetryDisabled(benchmark::State& state) {
   for (auto _ : state) {
     telemetry::MetricsRegistry metrics;
     metrics.set_enabled(false);
-    bench::PaperSystem sys({.metrics = &metrics});
-    sys.run(kSimTime);
+    campaign::System sys({.metrics = &metrics});
+    sys.kernel.run(kSimTime);
     benchmark::DoNotOptimize(sys.est->total_energy());
   }
 }
@@ -102,9 +102,8 @@ BENCHMARK(BM_PowerTelemetryDisabled)->Unit(benchmark::kMillisecond);
 void BM_PowerTelemetryMetrics(benchmark::State& state) {
   for (auto _ : state) {
     telemetry::MetricsRegistry metrics;
-    bench::PaperSystem sys({.metrics = &metrics});
-    sys.run(kSimTime);
-    sys.est->flush_telemetry();
+    campaign::System sys({.metrics = &metrics});
+    sys.run(kSimTime / campaign::kCycle);
     benchmark::DoNotOptimize(
         metrics.find_histogram("ahb.power.cycle_energy_pj")->count());
   }
@@ -117,10 +116,9 @@ void BM_PowerTelemetryWindows(benchmark::State& state) {
   std::size_t windows = 0;
   for (auto _ : state) {
     telemetry::MetricsRegistry metrics;
-    bench::PaperSystem sys(
+    campaign::System sys(
         {.telemetry_window_cycles = 100, .metrics = &metrics});
-    sys.run(kSimTime);
-    sys.est->flush_telemetry();
+    sys.run(kSimTime / campaign::kCycle);
     windows = sys.est->windows()->windows().size();
     benchmark::DoNotOptimize(windows);
   }
@@ -133,9 +131,8 @@ void BM_PowerTxnTrace(benchmark::State& state) {
   // base estimator.
   std::size_t txns = 0;
   for (auto _ : state) {
-    bench::PaperSystem sys({.txn_trace = true});
-    sys.run(kSimTime);
-    sys.est->flush_telemetry();
+    campaign::System sys({.txn_trace = true});
+    sys.run(kSimTime / campaign::kCycle);
     txns = sys.est->txn_tracer()->log().size();
     benchmark::DoNotOptimize(txns);
   }
@@ -305,11 +302,11 @@ public:
   ~TelemetryWorkload() override {
     benchmark::DoNotOptimize(sys_.est->total_energy());
   }
-  void run_slice() override { sys_.run(kGuardSlice); }
+  void run_slice() override { sys_.kernel.run(kGuardSlice); }
 
 private:
   telemetry::MetricsRegistry metrics_{false};
-  bench::PaperSystem sys_;
+  campaign::System sys_;
 };
 
 /// --txn-guard: a runtime-disabled transaction tracer versus none.
@@ -324,10 +321,10 @@ public:
   // 3x the benchmark duration per rep: the disabled tracer costs one
   // branch, so the guard's enemy is scheduler noise, and longer runs
   // average bursts out.
-  void run_slice() override { sys_.run(kGuardSlice * 3); }
+  void run_slice() override { sys_.kernel.run(kGuardSlice * 3); }
 
 private:
-  bench::PaperSystem sys_;
+  campaign::System sys_;
 };
 
 /// --events-guard: a campaign narrating into a disabled event log (plus
@@ -358,14 +355,7 @@ private:
 
   telemetry::EventLog log_;
   campaign::ProgressTracker tracker_;
-  const std::vector<campaign::RunSpec> run_{{"guard", [] {
-    bench::PaperSystem sys;
-    sys.run(sim::SimTime::us(5));
-    campaign::PowerReport r;
-    r.total_energy = sys.est->total_energy();
-    r.cycles = 500;
-    return r;
-  }}};
+  const std::vector<campaign::RunSpec> run_{campaign::run_spec("guard", {}, 500)};
   const campaign::Campaign pool_{campaign::Campaign::Config{.threads = 1}};
   campaign::Campaign::RunOptions opts_;
 };

@@ -43,8 +43,8 @@ int main() {
 
   std::vector<double> data, arb, total, wr;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    bench::PaperSystem sys({.seed1 = seed * 17, .seed2 = seed * 31 + 5});
-    sys.run(sim::SimTime::us(50));
+    campaign::System sys({.seeds = {seed * 17, seed * 31 + 5}});
+    sys.kernel.run(sim::SimTime::us(50));
     const power::PowerFsm& fsm = sys.est->fsm();
     data.push_back(100.0 * power::data_transfer_share(fsm));
     arb.push_back(100.0 * power::arbitration_share(fsm));

@@ -18,12 +18,12 @@
 int main() {
   using namespace ahbp;
 
-  bench::PaperSystem sys;
+  campaign::System sys;
   std::puts("=== Table 1: instructions energy analysis ===");
   std::puts("testbench: 2 traffic masters (WRITE-READ sequences + IDLE),");
   std::puts("           1 default master, 3 slaves, 100 MHz, 50 us\n");
 
-  sys.run(sim::SimTime::us(50));
+  sys.kernel.run(sim::SimTime::us(50));
 
   const power::PowerFsm& fsm = sys.est->fsm();
   std::fputs(power::format_instruction_table(fsm).c_str(), stdout);

@@ -9,14 +9,11 @@
 // RTL exists.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "ahb/ahb.hpp"
-#include "campaign/campaign.hpp"
+#include "campaign/system.hpp"
 #include "gate/area.hpp"
 #include "power/power.hpp"
-#include "sim/sim.hpp"
 
 namespace {
 
@@ -27,41 +24,15 @@ using namespace ahbp;
 /// seeds make every rerun bit-identical.
 campaign::RunSpec config_spec(ahb::ArbitrationPolicy policy, unsigned wait_states,
                               unsigned n_slaves) {
-  return {"cfg", [policy, wait_states, n_slaves] {
-            sim::Kernel kernel;
-            sim::Module top(nullptr, "top");
-            sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5,
-                           sim::SimTime::ns(10));
-            ahb::AhbBus bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = policy});
-
-            ahb::DefaultMaster dm(&top, "dm", bus);
-            ahb::TrafficMaster m1(
-                &top, "m1", bus,
-                {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 1});
-            ahb::TrafficMaster m2(
-                &top, "m2", bus,
-                {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 2});
-
-            std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-            for (unsigned s = 0; s < n_slaves; ++s) {
-              slaves.push_back(std::make_unique<ahb::MemorySlave>(
-                  &top, "s" + std::to_string(s), bus,
-                  ahb::MemorySlave::Config{.base = 0x1000u * s,
-                                           .size = 0x1000,
-                                           .wait_states = wait_states}));
-            }
-            bus.finalize();
-            ahb::BusMonitor mon(&top, "mon", bus);
-            power::AhbPowerEstimator est(&top, "power", bus);
-
-            kernel.run(sim::SimTime::us(50));
-
-            campaign::PowerReport r;
-            r.total_energy = est.total_energy();
-            r.blocks = est.block_totals();
-            r.cycles = est.fsm().cycles();
-            r.transfers = mon.stats().transfers;
-            r.metrics["handovers"] = static_cast<double>(mon.stats().handovers);
+  const campaign::SystemSpec spec{.policy = policy,
+                                  .wait_states = wait_states,
+                                  .slaves = n_slaves,
+                                  .seeds = {1, 2},
+                                  .monitor = true};
+  return {"cfg", [spec] {
+            campaign::System sys(spec);
+            campaign::PowerReport r = sys.run(5000);  // 50 us
+            r.metrics["handovers"] = static_cast<double>(sys.mon->stats().handovers);
             return r;
           }};
 }

@@ -29,39 +29,39 @@ sim::Clock& AhbMaster::clock() const { return bus_.clock(); }
 TrafficMaster::TrafficMaster(sim::Module* parent, std::string name, AhbBus& bus,
                              Config cfg)
     : AhbMaster(parent, std::move(name), bus),
-      cfg_(cfg),
-      rng_(cfg.seed),
-      thread_(this, "proc", [this] { return body(); }) {
-  if (cfg_.max_idle_cycles < cfg_.min_idle_cycles || cfg_.min_idle_cycles == 0) {
-    throw SimError("TrafficMaster: bad idle-cycle bounds");
-  }
-  if (cfg_.max_pairs < cfg_.min_pairs || cfg_.min_pairs == 0) {
-    throw SimError("TrafficMaster: bad pair bounds");
-  }
-  if (cfg_.addr_range < 4) throw SimError("TrafficMaster: address window too small");
-}
+      pattern_(cfg),
+      thread_(this, "proc", [this] { return body(); }) {}
 
 Task TrafficMaster::body() {
   BusSignals& bus = bus_signals();
   sim::Event& edge = clock().posedge_event();
 
-  auto rand_between = [this](unsigned lo, unsigned hi) {
-    return lo + static_cast<unsigned>(rng_() % (hi - lo + 1));
+  // Pipelined beat engine: while beat N's data phase runs, beat N+1's
+  // address phase is on the bus.
+  struct Beat {
+    bool write;
+    TrafficPattern::Pair pair;  ///< address; write value / expected read-back
   };
-  auto rand_addr = [this] {
-    const std::uint32_t words = cfg_.addr_range / 4;
-    return cfg_.addr_base + 4 * static_cast<std::uint32_t>(rng_() % words);
+  // Books a beat whose data phase completed at this edge.
+  auto complete = [&](const Beat& b) {
+    if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) ++stats_.error_responses;
+    if (b.write) {
+      ++stats_.writes;
+    } else {
+      ++stats_.reads;
+      if (bus.hrdata.read() != b.pair.data) ++stats_.read_mismatches;
+    }
   };
 
   for (;;) {
     // --- IDLE phase: the only window in which handover can happen -------
     sig_.htrans.write(raw(Trans::kIdle));
     sig_.hbusreq.write(false);
-    const unsigned idle_n = rand_between(cfg_.min_idle_cycles, cfg_.max_idle_cycles);
+    const unsigned idle_n = pattern_.idle_cycles();
     for (unsigned i = 0; i < idle_n; ++i) co_await wait(edge);
 
     // Cooperative DPM: hold off the next tenure while throttled.
-    while (cfg_.throttle != nullptr && cfg_.throttle->read()) {
+    while (throttle_ != nullptr && throttle_->read()) {
       ++stats_.throttled_cycles;
       co_await wait(edge);
     }
@@ -73,49 +73,25 @@ Task TrafficMaster::body() {
     } while (!(granted() && bus.hready.read()));
 
     // --- non-interruptible WRITE-READ pairs -----------------------------
-    const unsigned pairs = rand_between(cfg_.min_pairs, cfg_.max_pairs);
-
-    // Pipelined beat engine: while beat N's data phase runs, beat N+1's
-    // address phase is on the bus.
-    struct Beat {
-      bool write;
-      std::uint32_t addr;
-      std::uint32_t data;  ///< write value / expected read-back
-    };
-    std::vector<Beat> beats;
-    beats.reserve(2 * pairs);
-    for (unsigned p = 0; p < pairs; ++p) {
-      const std::uint32_t a = rand_addr();
-      const std::uint32_t d = static_cast<std::uint32_t>(rng_());
-      beats.push_back(Beat{true, a, d});
-      beats.push_back(Beat{false, a, d});
-    }
-
+    const std::uint64_t beats = 2ull * pattern_.pairs();
     bool have_pending = false;
     Beat pending{};
-    for (const Beat& b : beats) {
+    for (std::uint64_t n = 0; n < beats; ++n) {
+      // Even beats write a freshly drawn pair, odd beats read it back.
+      const Beat b = n % 2 == 0 ? Beat{true, pattern_.pair()} : Beat{false, pending.pair};
       // Address phase for beat b; write-data phase for the pending beat.
       sig_.htrans.write(raw(Trans::kNonSeq));
-      sig_.haddr.write(b.addr);
+      sig_.haddr.write(b.pair.addr);
       sig_.hwrite.write(b.write);
       sig_.hburst.write(raw(Burst::kSingle));
       sig_.hsize.write(raw(Size::kWord));
-      if (have_pending && pending.write) sig_.hwdata.write(pending.data);
+      if (have_pending && pending.write) sig_.hwdata.write(pending.pair.data);
 
       do {
         co_await wait(edge);
       } while (!bus.hready.read());
 
-      // The pending beat's data phase completed at this edge.
-      if (have_pending) {
-        if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) ++stats_.error_responses;
-        if (pending.write) {
-          ++stats_.writes;
-        } else {
-          ++stats_.reads;
-          if (bus.hrdata.read() != pending.data) ++stats_.read_mismatches;
-        }
-      }
+      if (have_pending) complete(pending);
       pending = b;
       have_pending = true;
     }
@@ -123,17 +99,11 @@ Task TrafficMaster::body() {
     // Drain the final data phase while already releasing the bus.
     sig_.htrans.write(raw(Trans::kIdle));
     sig_.hbusreq.write(false);
-    if (pending.write) sig_.hwdata.write(pending.data);
+    if (pending.write) sig_.hwdata.write(pending.pair.data);
     do {
       co_await wait(edge);
     } while (!bus.hready.read());
-    if (static_cast<Resp>(bus.hresp.read()) != Resp::kOkay) ++stats_.error_responses;
-    if (pending.write) {
-      ++stats_.writes;
-    } else {
-      ++stats_.reads;
-      if (bus.hrdata.read() != pending.data) ++stats_.read_mismatches;
-    }
+    complete(pending);
     ++stats_.sequences;
   }
 }

@@ -5,11 +5,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "ahb/signals.hpp"
+#include "ahb/traffic.hpp"
 #include "sim/clock.hpp"
 #include "sim/module.hpp"
 #include "sim/process.hpp"
@@ -48,18 +48,7 @@ protected:
 /// happen while it idles, exactly as in the paper's testbench.
 class TrafficMaster final : public AhbMaster {
 public:
-  struct Config {
-    std::uint32_t addr_base = 0;      ///< start of the address window used
-    std::uint32_t addr_range = 1024;  ///< bytes; word-aligned addresses inside
-    unsigned min_idle_cycles = 1;
-    unsigned max_idle_cycles = 8;
-    unsigned min_pairs = 4;   ///< WRITE-READ pairs per bus tenure
-    unsigned max_pairs = 24;  ///< long tenures, as in the paper's testbench
-    std::uint64_t seed = 1;
-    /// Optional cooperative throttle (see power::PowerGovernor): while
-    /// the signal is high the master delays its next bus tenure.
-    sim::Signal<bool>* throttle = nullptr;
-  };
+  using Config = TrafficConfig;
 
   struct Stats {
     std::uint64_t writes = 0;
@@ -74,16 +63,17 @@ public:
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Late binding of the DPM throttle (the governor is typically
-  /// constructed after the bus is finalized, i.e. after the masters).
-  void set_throttle(sim::Signal<bool>* throttle) { cfg_.throttle = throttle; }
+  /// Optional cooperative throttle (see power::PowerGovernor): while the
+  /// signal is high the master delays its next bus tenure. Bound late:
+  /// the governor is typically built after the bus is finalized.
+  void set_throttle(sim::Signal<bool>* throttle) { throttle_ = throttle; }
 
 private:
   sim::Task body();
 
-  Config cfg_;
+  TrafficPattern pattern_;
+  sim::Signal<bool>* throttle_ = nullptr;
   Stats stats_;
-  std::mt19937_64 rng_;
   sim::Thread thread_;
 };
 

@@ -128,29 +128,23 @@ void TlmBus::idle(unsigned n, std::uint32_t pending_requests) {
 // TlmTrafficRunner
 
 TlmTrafficRunner::TlmTrafficRunner(TlmBus& bus, unsigned master_index, Config cfg)
-    : bus_(bus), master_(master_index), cfg_(cfg), rng_(cfg.seed) {}
+    : bus_(bus), master_(master_index), pattern_(cfg) {}
 
 void TlmTrafficRunner::run_until(std::uint64_t until_cycle) {
-  auto rand_between = [this](unsigned lo, unsigned hi) {
-    return lo + static_cast<unsigned>(rng_() % (hi - lo + 1));
-  };
   while (bus_.cycles() < until_cycle) {
-    bus_.idle(rand_between(cfg_.min_idle_cycles, cfg_.max_idle_cycles));
+    bus_.idle(pattern_.idle_cycles());
     // Arbitration approximation: one handover-ish idle cycle with this
     // master requesting before the tenure starts.
     bus_.idle(1, 1u << master_);
-    const unsigned pairs = rand_between(cfg_.min_pairs, cfg_.max_pairs);
+    const unsigned pairs = pattern_.pairs();
     for (unsigned p = 0; p < pairs; ++p) {
-      const std::uint32_t words = cfg_.addr_range / 4;
-      const std::uint32_t addr =
-          cfg_.addr_base + 4 * static_cast<std::uint32_t>(rng_() % words);
-      const auto value = static_cast<std::uint32_t>(rng_());
-      bus_.write(master_, addr, value);
+      const ahb::TrafficPattern::Pair pair = pattern_.pair();
+      bus_.write(master_, pair.addr, pair.data);
       ++writes_;
       std::uint32_t back = 0;
-      bus_.read(master_, addr, back);
+      bus_.read(master_, pair.addr, back);
       ++reads_;
-      if (back != value) ++mismatches_;
+      if (back != pair.data) ++mismatches_;
     }
   }
 }

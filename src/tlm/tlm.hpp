@@ -10,14 +10,15 @@
 // views, so energy stays comparable with the cycle-accurate model while
 // simulation gets much faster.
 //
-// This module is deliberately kernel-free: no ahbp::sim types appear.
+// This module is deliberately kernel-free: no ahbp::sim types appear
+// beyond the error type.
 
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <unordered_map>
 #include <vector>
 
+#include "ahb/traffic.hpp"
 #include "power/power_fsm.hpp"
 
 namespace ahbp::tlm {
@@ -100,20 +101,14 @@ private:
   std::uint8_t last_master_ = 0;
 };
 
-/// Procedural re-implementation of the paper testbench's master pattern
-/// (WRITE-READ non-interruptible sequences + IDLE) on the TLM bus.
+/// The paper testbench's master pattern (WRITE-READ non-interruptible
+/// sequences + IDLE) on the TLM bus: the same ahb::TrafficPattern draws
+/// as ahb::TrafficMaster, so equal configs replay equal traffic.
 class TlmTrafficRunner {
 public:
-  struct Config {
-    std::uint32_t addr_base = 0;
-    std::uint32_t addr_range = 1024;
-    unsigned min_idle_cycles = 1;
-    unsigned max_idle_cycles = 8;
-    unsigned min_pairs = 4;
-    unsigned max_pairs = 24;
-    std::uint64_t seed = 1;
-  };
+  using Config = ahb::TrafficConfig;
 
+  /// Throws sim::SimError on a config ahb::TrafficPattern rejects.
   TlmTrafficRunner(TlmBus& bus, unsigned master_index, Config cfg);
 
   /// Runs tenures until the bus cycle counter passes `until_cycle`.
@@ -126,8 +121,7 @@ public:
 private:
   TlmBus& bus_;
   unsigned master_;
-  Config cfg_;
-  std::mt19937_64 rng_;
+  ahb::TrafficPattern pattern_;
   std::uint64_t writes_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t mismatches_ = 0;

@@ -6,46 +6,53 @@
 #include <gtest/gtest.h>
 
 #include "ahb/ahb.hpp"
-#include "testbench.hpp"
+#include "campaign/system.hpp"
 
 namespace ahbp::ahb {
 namespace {
 
-using test::Bench;
+/// The paper's testbench (2 traffic masters, 1 default master, 3
+/// slaves) under the protocol monitor, without a power estimator.
+struct PaperBench : campaign::System {
+  explicit PaperBench(
+      unsigned wait_states = 0,
+      ArbitrationPolicy policy = ArbitrationPolicy::kFixedPriority)
+      : campaign::System({.policy = policy,
+                          .wait_states = wait_states,
+                          .monitor = true,
+                          .power = false}),
+        m1(*masters[0]),
+        m2(*masters[1]),
+        s1(*slaves[0]),
+        s2(*slaves[1]),
+        s3(*slaves[2]) {}
 
-/// The paper's testbench: 2 traffic masters, 1 default master, 3 slaves.
-struct PaperBench : Bench {
-  explicit PaperBench(unsigned wait_states = 0,
-                      AhbBus::Config cfg = AhbBus::Config{})
-      : Bench(cfg),
-        dm(&top, "default_master", bus),
-        m1(&top, "m1", bus,
-           {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 101}),
-        m2(&top, "m2", bus,
-           {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 202}),
-        s1(&top, "s1", bus,
-           {.base = 0x0000, .size = 0x1000, .wait_states = wait_states}),
-        s2(&top, "s2", bus,
-           {.base = 0x1000, .size = 0x1000, .wait_states = wait_states}),
-        s3(&top, "s3", bus,
-           {.base = 0x2000, .size = 0x1000, .wait_states = wait_states}),
-        mon_cfg{.fatal = false},
-        mon(&top, "mon", bus, mon_cfg) {
-    bus.finalize();
+  void run_cycles(unsigned cycles) {
+    kernel.run(campaign::kCycle * static_cast<std::int64_t>(cycles));
   }
 
-  DefaultMaster dm;
-  TrafficMaster m1, m2;
-  MemorySlave s1, s2, s3;
-  BusMonitor::Config mon_cfg;
-  BusMonitor mon;
+  TrafficMaster &m1, &m2;
+  MemorySlave &s1, &s2, &s3;
 };
+
+TEST(Traffic, RejectsBadConfigs) {
+  sim::Kernel kernel;
+  sim::Module top(nullptr, "top");
+  sim::Clock clk(&top, "clk", campaign::kCycle);
+  AhbBus bus(&top, "ahb", clk);
+  using C = TrafficMaster::Config;
+  for (const C& bad : {C{.addr_range = 2}, C{.min_idle_cycles = 5, .max_idle_cycles = 4},
+                       C{.min_idle_cycles = 0}, C{.min_pairs = 9, .max_pairs = 8},
+                       C{.min_pairs = 0}}) {
+    EXPECT_THROW(TrafficMaster(&top, "m", bus, bad), sim::SimError);
+  }
+}
 
 TEST(Traffic, PaperTestbenchRunsCleanFor5000Cycles) {
   PaperBench b;
   b.run_cycles(5000);
-  EXPECT_TRUE(b.mon.violations().empty())
-      << "first violation: " << b.mon.violations().front();
+  EXPECT_TRUE(b.mon->violations().empty())
+      << "first violation: " << b.mon->violations().front();
   EXPECT_GT(b.m1.stats().sequences, 10u);
   EXPECT_GT(b.m2.stats().sequences, 10u);
   EXPECT_EQ(b.m1.stats().read_mismatches, 0u);
@@ -73,16 +80,16 @@ TEST(Traffic, MonitorCountsMatchMasterCounts) {
                                       b.m2.stats().writes + b.m2.stats().reads;
   // The monitor may have seen a few transfers still in flight; allow a
   // difference of at most 2 (one pending data phase per master).
-  EXPECT_NEAR(static_cast<double>(b.mon.stats().transfers),
+  EXPECT_NEAR(static_cast<double>(b.mon->stats().transfers),
               static_cast<double>(total_master_transfers), 2.0);
 }
 
 TEST(Traffic, HandoversHappenAndOnlyDuringIdle) {
   PaperBench b;
   b.run_cycles(3000);
-  EXPECT_GT(b.mon.stats().handovers, 10u);
+  EXPECT_GT(b.mon->stats().handovers, 10u);
   // The monitor's handover-during-transfer check never fired:
-  EXPECT_TRUE(b.mon.violations().empty());
+  EXPECT_TRUE(b.mon->violations().empty());
 }
 
 TEST(Traffic, SlaveTrafficLandsInTheRightSlaves) {
@@ -101,20 +108,20 @@ class TrafficWaitSweep : public ::testing::TestWithParam<unsigned> {};
 TEST_P(TrafficWaitSweep, CleanUnderWaitStates) {
   PaperBench b(GetParam());
   b.run_cycles(2000);
-  EXPECT_TRUE(b.mon.violations().empty());
+  EXPECT_TRUE(b.mon->violations().empty());
   EXPECT_EQ(b.m1.stats().read_mismatches, 0u);
   EXPECT_EQ(b.m2.stats().read_mismatches, 0u);
   if (GetParam() > 0) {
-    EXPECT_GT(b.mon.stats().wait_cycles, 0u);
+    EXPECT_GT(b.mon->stats().wait_cycles, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Waits, TrafficWaitSweep, ::testing::Values(0u, 1u, 3u));
 
 TEST(Traffic, RoundRobinPolicyAlsoClean) {
-  PaperBench b(0, AhbBus::Config{.policy = ArbitrationPolicy::kRoundRobin});
+  PaperBench b(0, ArbitrationPolicy::kRoundRobin);
   b.run_cycles(3000);
-  EXPECT_TRUE(b.mon.violations().empty());
+  EXPECT_TRUE(b.mon->violations().empty());
   EXPECT_EQ(b.m1.stats().read_mismatches, 0u);
   EXPECT_EQ(b.m2.stats().read_mismatches, 0u);
   EXPECT_GT(b.m1.stats().sequences, 5u);
@@ -140,7 +147,7 @@ TEST(Traffic, DeterministicForFixedSeeds) {
     PaperBench b;
     b.run_cycles(1000);
     return std::tuple{b.m1.stats().writes, b.m2.stats().reads,
-                      b.mon.stats().handovers};
+                      b.mon->stats().handovers};
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "ahb/ahb.hpp"
+#include "campaign/system.hpp"
 #include "charlib/charlib.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
@@ -19,20 +20,9 @@ using ahb::MemorySlave;
 using ahb::TrafficMaster;
 
 TEST(Attribution, EnergySplitsAcrossMasters) {
-  sim::Kernel k;
-  sim::Module top(nullptr, "top");
-  sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
-  AhbBus bus(&top, "ahb", clk);
-  DefaultMaster dm(&top, "dm", bus);
-  TrafficMaster m1(&top, "m1", bus,
-                   {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 71});
-  TrafficMaster m2(&top, "m2", bus,
-                   {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 72});
-  MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-  MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-  bus.finalize();
-  AhbPowerEstimator est(&top, "power", bus, {.txn_trace = true});
-  k.run(sim::SimTime::us(30));
+  campaign::System sys({.slaves = 2, .seeds = {71, 72}, .txn_trace = true});
+  sys.kernel.run(sim::SimTime::us(30));
+  AhbPowerEstimator& est = *sys.est;
   est.flush_telemetry();
 
   const EnergyAttributor& attr = est.txn_tracer()->attribution();

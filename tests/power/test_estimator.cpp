@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "ahb/ahb.hpp"
+#include "campaign/system.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -11,38 +12,18 @@ namespace ahbp::power {
 namespace {
 
 using ahb::AhbBus;
-using ahb::DefaultMaster;
-using ahb::MemorySlave;
-using ahb::TrafficMaster;
 
-/// The paper's testbench plus a power estimator.
-struct PowerBench {
+/// The paper's testbench on the seeds 11/22 plus a power estimator
+/// configured per test.
+struct PowerBench : campaign::System {
   explicit PowerBench(AhbPowerEstimator::Config cfg = AhbPowerEstimator::Config{})
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk),
-        dm(&top, "dm", bus),
-        m1(&top, "m1", bus, {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 11}),
-        m2(&top, "m2", bus, {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 22}),
-        s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000}),
-        s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000}),
-        s3(&top, "s3", bus, {.base = 0x2000, .size = 0x1000}) {
-    bus.finalize();
+      : campaign::System({.seeds = {11, 22}, .power = false}) {
     est = std::make_unique<AhbPowerEstimator>(&top, "power", bus, cfg);
   }
 
   void run_cycles(unsigned n) {
-    kernel.run(sim::SimTime::ns(10) * static_cast<std::int64_t>(n));
+    kernel.run(campaign::kCycle * static_cast<std::int64_t>(n));
   }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  AhbBus bus;
-  DefaultMaster dm;
-  TrafficMaster m1, m2;
-  MemorySlave s1, s2, s3;
-  std::unique_ptr<AhbPowerEstimator> est;
 };
 
 TEST(Estimator, RequiresFinalizedBus) {

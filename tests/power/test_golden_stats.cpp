@@ -9,12 +9,10 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "ahb/ahb.hpp"
-#include "fault/injector.hpp"
+#include "campaign/system.hpp"
 #include "power/power.hpp"
 #include "power/styles.hpp"
 #include "sim/sim.hpp"
@@ -22,72 +20,7 @@
 namespace ahbp {
 namespace {
 
-constexpr sim::SimTime kCycle = sim::SimTime::ns(10);
-
-struct Topology {
-  unsigned masters = 2;
-  unsigned wait_states = 0;
-  ahb::ArbitrationPolicy policy = ahb::ArbitrationPolicy::kFixedPriority;
-  /// Master m draws its traffic from seed_base + seed_step * m.
-  std::uint64_t seed_base = 101;
-  std::uint64_t seed_step = 101;
-  /// Seed of a uniform RETRY / ERROR / jitter FaultPlan; 0 = no faults.
-  std::uint64_t fault_seed = 0;
-  bool monitor = true;
-  bool power = true;
-};
-
-/// The paper's Sec. 5 testbench generalised to N masters: a default
-/// master, N traffic masters and three 4 KiB memory slaves on one bus.
-/// Master m targets slave m % 3.
-struct System {
-  explicit System(const Topology& t)
-      : top(nullptr, "top"),
-        clk(&top, "clk", kCycle, 0.5, kCycle),
-        bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = t.policy}),
-        dm(&top, "default_master", bus) {
-    for (unsigned m = 0; m < t.masters; ++m) {
-      masters.push_back(std::make_unique<ahb::TrafficMaster>(
-          &top, std::string(1, 'm').append(std::to_string(m + 1)), bus,
-          ahb::TrafficMaster::Config{.addr_base = 0x1000u * (m % 3),
-                                     .addr_range = 0x1000,
-                                     .seed = t.seed_base + t.seed_step * m}));
-    }
-    if (t.fault_seed != 0) {
-      injector = std::make_unique<fault::FaultInjector>(fault::FaultPlan::uniform(
-          t.fault_seed,
-          {.retry_rate = 0.02, .error_rate = 0.005, .jitter_rate = 0.05,
-           .max_extra_waits = 3},
-          3));
-    }
-    for (unsigned s = 0; s < 3; ++s) {
-      slaves.push_back(std::make_unique<ahb::MemorySlave>(
-          &top, std::string(1, 's').append(std::to_string(s + 1)), bus,
-          ahb::MemorySlave::Config{
-              .base = 0x1000u * s,
-              .size = 0x1000,
-              .wait_states = t.wait_states,
-              .fault_hook = injector ? injector->hook(s) : ahb::FaultHook{}}));
-    }
-    bus.finalize();
-    if (t.monitor) {
-      mon = std::make_unique<ahb::BusMonitor>(
-          &top, "monitor", bus, ahb::BusMonitor::Config{.fatal = false});
-    }
-    if (t.power) est = std::make_unique<power::AhbPowerEstimator>(&top, "power", bus);
-  }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  ahb::AhbBus bus;
-  ahb::DefaultMaster dm;
-  std::vector<std::unique_ptr<ahb::TrafficMaster>> masters;
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-  std::unique_ptr<ahb::BusMonitor> mon;
-  std::unique_ptr<power::AhbPowerEstimator> est;
-};
+using campaign::kCycle;
 
 /// Appends "<key> <%.17g> <IEEE-754 bits>\n": readable, and exact.
 void put(std::string& out, const std::string& key, double v) {
@@ -108,7 +41,7 @@ void put(std::string& out, const std::string& key, std::uint64_t v) {
 /// One line per pinned statistic of a finished run: transfers, PowerFsm
 /// cycles, total and per-block joules, then per instruction its count
 /// and joules.
-std::string dump(const System& s) {
+std::string dump(const campaign::System& s) {
   const power::PowerFsm& fsm = s.est->fsm();
   const power::BlockEnergy& b = fsm.block_totals();
   std::string out;
@@ -127,7 +60,7 @@ std::string dump(const System& s) {
 }
 
 TEST(GoldenStats, PaperTestbenchTwoMastersFixedPriority) {
-  System s(Topology{});
+  campaign::System s({.monitor = true});
   s.kernel.run(kCycle * 20000);
   EXPECT_EQ(dump(s), R"(transfers 18648
 cycles 19999
@@ -158,12 +91,11 @@ WRITE_READ 7.8349684049996611e-08 0x3e75082637e464a7
 }
 
 TEST(GoldenStats, FourMastersRoundRobinWaitStateFaults) {
-  System s(Topology{.masters = 4,
-                    .wait_states = 1,
-                    .policy = ahb::ArbitrationPolicy::kRoundRobin,
-                    .seed_base = 1,
-                    .seed_step = 97,
-                    .fault_seed = 7});
+  campaign::System s({.policy = ahb::ArbitrationPolicy::kRoundRobin,
+                      .wait_states = 1,
+                      .seeds = campaign::strided_seeds(1, 4),
+                      .fault_seed = 7,
+                      .monitor = true});
   s.kernel.run(kCycle * 20000);
   EXPECT_EQ(dump(s), R"(transfers 9176
 cycles 19999
@@ -192,7 +124,7 @@ WRITE_WRITE 1.7278210124998294e-09 0x3e1daf09845b0c5b
 TEST(GoldenStats, PrivateStyleEventCountAndEnergy) {
   // bench_ablation_styles' private-style row: 100 us of the paper
   // testbench with a per-signal-event power model instead of the FSM.
-  System s(Topology{.monitor = false, .power = false});
+  campaign::System s({.power = false});
   power::PrivatePowerModel priv(&s.top, "priv", s.bus);
   s.kernel.run(sim::SimTime::us(100));
   std::string out;
@@ -206,8 +138,8 @@ energy 7.4098990349996394e-08 0x3e73e40b39542a84
 TEST(KernelWork, PaperTestbenchExactCounts) {
   // Scheduler work is deterministic, so it is pinned as exact counts: a
   // kernel change that adds deltas or activations per cycle fails here
-  // without any timing noise. The topology is bench::PaperSystem's.
-  System s(Topology{.monitor = false});
+  // without any timing noise. The topology is the benches' SystemSpec{}.
+  campaign::System s;
   s.kernel.run(kCycle * 20000);
   // Each clock edge is applied at its time advance, so the edge's
   // processes run in the instant's first delta: 3.5 deltas per cycle

@@ -6,33 +6,21 @@
 #include <gtest/gtest.h>
 
 #include "ahb/ahb.hpp"
+#include "campaign/system.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
 namespace ahbp::power {
 namespace {
 
-using ahb::AhbBus;
-using ahb::DefaultMaster;
-using ahb::MemorySlave;
-using ahb::TrafficMaster;
-
-struct GovernorBench {
+/// The paper's testbench with two slaves (seeds 31/32), optionally
+/// under a power governor that throttles both masters.
+struct GovernorBench : campaign::System {
   /// budget <= 0 disables throttling (masters get no throttle signal).
   explicit GovernorBench(double budget_watts)
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk),
-        dm(&top, "dm", bus) {
-    m1 = std::make_unique<TrafficMaster>(
-        &top, "m1", bus,
-        TrafficMaster::Config{.addr_base = 0x0000, .addr_range = 0x1000, .seed = 31});
-    m2 = std::make_unique<TrafficMaster>(
-        &top, "m2", bus,
-        TrafficMaster::Config{.addr_base = 0x1000, .addr_range = 0x1000, .seed = 32});
-    bus_slaves();
-    bus.finalize();
-    est = std::make_unique<AhbPowerEstimator>(&top, "power", bus);
+      : campaign::System({.slaves = 2, .seeds = {31, 32}}),
+        m1(masters[0].get()),
+        m2(masters[1].get()) {
     if (budget_watts > 0) {
       gov = std::make_unique<PowerGovernor>(
           &top, "gov", *est,
@@ -42,26 +30,13 @@ struct GovernorBench {
     }
   }
 
-  void bus_slaves() {
-    s1 = std::make_unique<MemorySlave>(
-        &top, "s1", bus, MemorySlave::Config{.base = 0x0000, .size = 0x1000});
-    s2 = std::make_unique<MemorySlave>(
-        &top, "s2", bus, MemorySlave::Config{.base = 0x1000, .size = 0x1000});
-  }
-
   void run_cycles(unsigned n) {
-    kernel.run(sim::SimTime::ns(10) * static_cast<std::int64_t>(n));
+    kernel.run(campaign::kCycle * static_cast<std::int64_t>(n));
   }
 
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  AhbBus bus;
-  DefaultMaster dm;
-  std::unique_ptr<MemorySlave> s1, s2;
-  std::unique_ptr<AhbPowerEstimator> est;
+  ahb::TrafficMaster* m1;
+  ahb::TrafficMaster* m2;
   std::unique_ptr<PowerGovernor> gov;
-  std::unique_ptr<TrafficMaster> m1, m2;
 };
 
 TEST(Governor, RejectsBadConfig) {

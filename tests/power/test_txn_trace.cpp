@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "ahb/ahb.hpp"
+#include "campaign/system.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 #include "telemetry/telemetry.hpp"
@@ -332,37 +333,16 @@ TEST(TxnTracer, MetricsPublication) {
 // ---------------------------------------------------------------------------
 // Full-system integration on the paper testbench
 
-/// The paper's testbench with transaction tracing enabled.
-struct TxnBench {
+/// The paper's testbench on the seeds 11/22 with one wait state per
+/// slave and transaction tracing enabled.
+struct TxnBench : campaign::System {
   TxnBench()
-      : top(nullptr, "top"),
-        clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10)),
-        bus(&top, "ahb", clk),
-        dm(&top, "dm", bus),
-        m1(&top, "m1", bus,
-           {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 11}),
-        m2(&top, "m2", bus,
-           {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 22}),
-        s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000, .wait_states = 1}),
-        s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000, .wait_states = 1}),
-        s3(&top, "s3", bus, {.base = 0x2000, .size = 0x1000}) {
-    bus.finalize();
-    est = std::make_unique<AhbPowerEstimator>(
-        &top, "power", bus, AhbPowerEstimator::Config{.txn_trace = true});
-  }
+      : campaign::System(
+            {.wait_states = 1, .seeds = {11, 22}, .txn_trace = true}) {}
 
   void run_cycles(unsigned n) {
-    kernel.run(sim::SimTime::ns(10) * static_cast<std::int64_t>(n));
+    kernel.run(campaign::kCycle * static_cast<std::int64_t>(n));
   }
-
-  sim::Kernel kernel;
-  sim::Module top;
-  sim::Clock clk;
-  ahb::AhbBus bus;
-  ahb::DefaultMaster dm;
-  ahb::TrafficMaster m1, m2;
-  ahb::MemorySlave s1, s2, s3;
-  std::unique_ptr<AhbPowerEstimator> est;
 };
 
 TEST(TxnTraceIntegration, AttributionConservesTotalEnergy) {

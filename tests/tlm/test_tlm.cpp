@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "ahb/ahb.hpp"
+#include "campaign/system.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 
@@ -112,6 +115,40 @@ TEST(TlmRunner, ReadsBackWhatItWrote) {
   EXPECT_EQ(runner.mismatches(), 0u);
 }
 
+TEST(TlmRunner, RejectsBadConfigs) {
+  // Each of these once reached `rng() % 0` (SIGFPE) or wrapped a bound.
+  TlmBus bus({});
+  using C = TlmTrafficRunner::Config;
+  EXPECT_THROW(TlmTrafficRunner(bus, 1, C{.addr_range = 2}), sim::SimError);
+  EXPECT_THROW(TlmTrafficRunner(bus, 1, C{.addr_range = 0}), sim::SimError);
+  EXPECT_THROW(TlmTrafficRunner(bus, 1, C{.min_idle_cycles = 5, .max_idle_cycles = 4}),
+               sim::SimError);
+  EXPECT_THROW(TlmTrafficRunner(bus, 1, C{.min_idle_cycles = 0}), sim::SimError);
+  EXPECT_THROW(TlmTrafficRunner(bus, 1, C{.min_pairs = 9, .max_pairs = 8}),
+               sim::SimError);
+  EXPECT_THROW(TlmTrafficRunner(bus, 1, C{.min_pairs = 0}), sim::SimError);
+  EXPECT_NO_THROW(TlmTrafficRunner(bus, 1, C{.addr_range = 4}));
+}
+
+TEST(TrafficPattern, DrawsTheTenureSequence) {
+  // Both abstraction levels consume this sequence of a raw mt19937_64:
+  // idle count, pair count, then address and data per pair.
+  ahb::TrafficPattern pattern({.addr_base = 0x1000, .addr_range = 0x1000, .seed = 202});
+  std::mt19937_64 rng(202);
+  for (int tenure = 0; tenure < 50; ++tenure) {
+    EXPECT_EQ(pattern.idle_cycles(), 1 + rng() % 8);
+    const unsigned pairs = 4 + static_cast<unsigned>(rng() % 21);
+    ASSERT_EQ(pattern.pairs(), pairs);
+    for (unsigned p = 0; p < pairs; ++p) {
+      const std::uint32_t addr =
+          0x1000 + 4 * static_cast<std::uint32_t>(rng() % 0x400);
+      const ahb::TrafficPattern::Pair pair = pattern.pair();
+      EXPECT_EQ(pair.addr, addr);
+      EXPECT_EQ(pair.data, static_cast<std::uint32_t>(rng()));
+    }
+  }
+}
+
 TEST(TlmVsCycleAccurate, EnergyPerCycleAgrees) {
   // The same workload shape on both abstraction levels must land within
   // a modest factor in energy per cycle (the TLM folds away intra-
@@ -133,21 +170,9 @@ TEST(TlmVsCycleAccurate, EnergyPerCycleAgrees) {
   // --- cycle-accurate ---
   double ca_epc = 0.0;
   {
-    sim::Kernel k;
-    sim::Module top(nullptr, "top");
-    sim::Clock clk(&top, "clk", sim::SimTime::ns(10), 0.5, sim::SimTime::ns(10));
-    ahb::AhbBus bus(&top, "ahb", clk);
-    ahb::DefaultMaster dm(&top, "dm", bus);
-    ahb::TrafficMaster tm1(&top, "m1", bus,
-                           {.addr_base = 0x0000, .addr_range = 0x1000, .seed = 101});
-    ahb::TrafficMaster tm2(&top, "m2", bus,
-                           {.addr_base = 0x1000, .addr_range = 0x1000, .seed = 202});
-    ahb::MemorySlave s1(&top, "s1", bus, {.base = 0x0000, .size = 0x1000});
-    ahb::MemorySlave s2(&top, "s2", bus, {.base = 0x1000, .size = 0x1000});
-    bus.finalize();
-    power::AhbPowerEstimator est(&top, "power", bus);
-    k.run(sim::SimTime::us(50));
-    ca_epc = est.total_energy() / static_cast<double>(est.fsm().cycles());
+    campaign::System sys({.slaves = 2});
+    sys.kernel.run(sim::SimTime::us(50));
+    ca_epc = sys.est->total_energy() / static_cast<double>(sys.est->fsm().cycles());
   }
 
   const double ratio = tlm_epc / ca_epc;

@@ -74,15 +74,17 @@
 //   143  terminated by SIGTERM (same drain semantics)
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -93,7 +95,7 @@
 #include "campaign/journal.hpp"
 #include "campaign/progress.hpp"
 #include "campaign/report.hpp"
-#include "fault/injector.hpp"
+#include "campaign/system.hpp"
 #include "power/power.hpp"
 #include "sim/sim.hpp"
 #include "telemetry/atomic_file.hpp"
@@ -105,15 +107,12 @@ namespace {
 
 using namespace ahbp;
 
-constexpr std::int64_t kClockNs = 10;  // 100 MHz
-
 struct Options {
   std::uint64_t cycles = 5000;
-  unsigned masters = 2;
-  unsigned slaves = 3;
-  unsigned waits = 0;
-  ahb::ArbitrationPolicy policy = ahb::ArbitrationPolicy::kFixedPriority;
-  std::uint64_t seed = 1;
+  /// The topology flags (--masters --slaves --waits --policy --seed
+  /// --faults), monitored; the single run and each sweep point start
+  /// from it.
+  campaign::SystemSpec system{.monitor = true};
   std::uint64_t window_cycles = 0;
   bool table = false;
   bool breakdown = false;
@@ -122,8 +121,6 @@ struct Options {
   bool quiet = false;
   bool sweep = false;
   bool txn_trace = false;
-  bool faults = false;
-  std::uint64_t fault_seed = 1;
   double run_budget_s = 0.0;
   unsigned jobs = 0;
   campaign::Isolation isolation =
@@ -155,33 +152,50 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options o;
+  unsigned masters = 2;
+  std::uint64_t seed = 1;
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  // A numeric value must be the whole token (decimal, no sign or
+  // blanks) and lie in [lo, hi]; NaN and infinity fail the range test.
+  auto number = [&]<typename T>(int& i, T lo, T hi = std::numeric_limits<T>::max()) {
+    const std::string_view text = need_value(i);
+    T v{};
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || end != text.data() + text.size() || !(v >= lo && v <= hi)) {
+      usage(argv[0]);
+    }
+    return v;
+  };
+  constexpr double kMinSeconds = std::numeric_limits<double>::min();  // > 0
+  // The longest run whose duration still fits SimTime.
+  constexpr std::uint64_t kMaxCycles =
+      std::numeric_limits<std::int64_t>::max() / campaign::kCycle.femtoseconds();
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--cycles") {
-      o.cycles = std::strtoull(need_value(i), nullptr, 0);
+      o.cycles = number(i, std::uint64_t{1}, kMaxCycles);
     } else if (a == "--masters") {
-      o.masters = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 0));
+      masters = number(i, 1u, 8u);
     } else if (a == "--slaves") {
-      o.slaves = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 0));
+      o.system.slaves = number(i, 1u, 8u);
     } else if (a == "--waits") {
-      o.waits = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 0));
+      o.system.wait_states = number(i, 0u);
     } else if (a == "--policy") {
       const std::string p = need_value(i);
       if (p == "fixed") {
-        o.policy = ahb::ArbitrationPolicy::kFixedPriority;
+        o.system.policy = ahb::ArbitrationPolicy::kFixedPriority;
       } else if (p == "rr") {
-        o.policy = ahb::ArbitrationPolicy::kRoundRobin;
+        o.system.policy = ahb::ArbitrationPolicy::kRoundRobin;
       } else {
         usage(argv[0]);
       }
     } else if (a == "--seed") {
-      o.seed = std::strtoull(need_value(i), nullptr, 0);
+      seed = number(i, std::uint64_t{0});
     } else if (a == "--window") {
-      o.window_cycles = std::strtoull(need_value(i), nullptr, 0);
+      o.window_cycles = number(i, std::uint64_t{0});
     } else if (a == "--telemetry") {
       o.telemetry_dir = need_value(i);
     } else if (a == "--txn-trace") {
@@ -203,13 +217,11 @@ Options parse(int argc, char** argv) {
     } else if (a == "--sweep") {
       o.sweep = true;
     } else if (a == "--jobs") {
-      o.jobs = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 0));
+      o.jobs = number(i, 0u);
     } else if (a == "--faults") {
-      o.faults = true;
-      o.fault_seed = std::strtoull(need_value(i), nullptr, 0);
+      o.system.fault_seed = number(i, std::uint64_t{0});
     } else if (a == "--run-budget") {
-      o.run_budget_s = std::strtod(need_value(i), nullptr);
-      if (o.run_budget_s <= 0.0) usage(argv[0]);
+      o.run_budget_s = number(i, kMinSeconds);
     } else if (a == "--isolation") {
       const std::string m = need_value(i);
       if (m == "thread") {
@@ -224,20 +236,16 @@ Options parse(int argc, char** argv) {
     } else if (a == "--resume") {
       o.resume = true;
     } else if (a == "--status-port") {
-      o.status_port = std::strtol(need_value(i), nullptr, 0);
-      if (o.status_port < 0 || o.status_port > 65535) usage(argv[0]);
+      o.status_port = number(i, 0L, 65535L);
     } else if (a == "--progress") {
       o.progress = true;
     } else if (a == "--stall-after") {
-      o.stall_after_s = std::strtod(need_value(i), nullptr);
-      if (o.stall_after_s <= 0.0) usage(argv[0]);
+      o.stall_after_s = number(i, kMinSeconds);
     } else {
       usage(argv[0]);
     }
   }
-  if (o.masters < 1 || o.masters > 8 || o.slaves < 1 || o.slaves > 8) {
-    usage(argv[0]);
-  }
+  o.system.seeds = campaign::strided_seeds(seed, masters);
   if (!o.journal_dir.empty() && !o.sweep) {
     std::fputs("--journal requires --sweep\n", stderr);
     std::exit(2);
@@ -307,126 +315,24 @@ void install_signal_handlers() {
   sigaction(SIGTERM, &sa, nullptr);
 }
 
-/// The --faults rate card: uniform seed-driven RETRY / ERROR /
-/// wait-state jitter on every slave. SPLIT stays off here because the
-/// pipelined TrafficMaster does not rework split transfers (the
-/// serialized ScriptedMaster does; see tests/ahb/test_faults.cpp).
-fault::SlaveFaultConfig cli_fault_rates() {
-  fault::SlaveFaultConfig rates;
-  rates.retry_rate = 0.02;
-  rates.error_rate = 0.005;
-  rates.jitter_rate = 0.05;
-  rates.max_extra_waits = 3;
-  return rates;
-}
-
-/// The injector for one run, or null when --faults is off. The caller
-/// keeps it alive for the whole simulation: slave hooks point into it.
-std::unique_ptr<fault::FaultInjector> make_injector(
-    const Options& o, telemetry::MetricsRegistry* metrics) {
-  if (!o.faults) return nullptr;
-  return std::make_unique<fault::FaultInjector>(
-      fault::FaultPlan::uniform(o.fault_seed, cli_fault_rates(), o.slaves),
-      metrics);
-}
-
-/// One --sweep configuration as a campaign spec: the CLI topology with
-/// a given arbitration policy and wait-state count, run for o.cycles.
-campaign::RunSpec sweep_spec(const Options& o, ahb::ArbitrationPolicy policy,
-                             unsigned waits) {
-  Options run = o;
-  run.policy = policy;
-  run.waits = waits;
-  const std::string name =
-      std::string(policy == ahb::ArbitrationPolicy::kFixedPriority ? "fixed"
-                                                                   : "rr") +
-      "/w" + std::to_string(waits);
-  return {name, [run] {
-            sim::Kernel kernel;
-            sim::Module top(nullptr, "top");
-            sim::Clock clk(&top, "clk", sim::SimTime::ns(kClockNs), 0.5,
-                           sim::SimTime::ns(kClockNs));
-            ahb::AhbBus bus(&top, "ahb", clk,
-                            ahb::AhbBus::Config{.policy = run.policy});
-            ahb::DefaultMaster dm(&top, "default_master", bus);
-            std::vector<std::unique_ptr<ahb::TrafficMaster>> masters;
-            for (unsigned m = 0; m < run.masters; ++m) {
-              masters.push_back(std::make_unique<ahb::TrafficMaster>(
-                  &top, "m" + std::to_string(m + 1), bus,
-                  ahb::TrafficMaster::Config{
-                      .addr_base = 0x1000u * (m % run.slaves),
-                      .addr_range = 0x1000,
-                      .seed = run.seed + 97 * m,
-                  }));
-            }
-            auto injector = make_injector(run, nullptr);
-            std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-            for (unsigned s = 0; s < run.slaves; ++s) {
-              slaves.push_back(std::make_unique<ahb::MemorySlave>(
-                  &top, "s" + std::to_string(s + 1), bus,
-                  ahb::MemorySlave::Config{
-                      .base = 0x1000u * s,
-                      .size = 0x1000,
-                      .wait_states = run.waits,
-                      .fault_hook = injector ? injector->hook(s)
-                                             : ahb::FaultHook{}}));
-            }
-            bus.finalize();
-            ahb::BusMonitor mon(&top, "monitor", bus,
-                                ahb::BusMonitor::Config{.fatal = false});
-            power::AhbPowerEstimator est(
-                &top, "power", bus,
-                power::AhbPowerEstimator::Config{.txn_trace = true});
-            kernel.run(sim::SimTime::ns(kClockNs) *
-                       static_cast<std::int64_t>(run.cycles));
-            est.flush_telemetry();
-
-            campaign::PowerReport r;
-            r.total_energy = est.total_energy();
-            r.blocks = est.block_totals();
-            r.cycles = est.fsm().cycles();
-            r.transfers = mon.stats().transfers;
-            r.metrics["data_share"] = power::data_transfer_share(est.fsm());
-            r.metrics["arb_share"] = power::arbitration_share(est.fsm());
-            const power::TransactionTracer& txn = *est.txn_tracer();
-            r.bus_energy_j = txn.attribution().bus_energy();
-            for (unsigned m = 0; m <= run.masters; ++m) {
-              r.attribution.push_back(
-                  {txn.attribution().master_energy()[m],
-                   txn.master_txns()[m]});
-            }
-            return r;
-          }};
-}
-
-/// Fingerprint of everything that determines a sweep's results. A
-/// journal records it so --resume refuses to mix outcomes produced by
-/// a differently parameterized campaign into the new report. Thread
-/// count and isolation mode are deliberately excluded: results are
-/// documented to be bit-identical across both.
-std::uint64_t sweep_fingerprint(const Options& o,
-                                const std::vector<campaign::RunSpec>& specs) {
-  std::string canon = "cycles=" + std::to_string(o.cycles) +
-                      ";masters=" + std::to_string(o.masters) +
-                      ";slaves=" + std::to_string(o.slaves) +
-                      ";seed=" + std::to_string(o.seed) + ";faults=" +
-                      (o.faults ? std::to_string(o.fault_seed)
-                                : std::string("off")) +
-                      ";run_budget=" + std::to_string(o.run_budget_s) +
-                      ";specs=";
-  for (const campaign::RunSpec& s : specs) {
-    canon += s.name;
-    canon += ',';
-  }
-  return campaign::fnv1a64(canon);
-}
-
 int run_sweep(const Options& o) {
+  // The CLI topology under each policy and wait-state count, traced for
+  // the attribution report.
+  std::vector<campaign::SweepPoint> points;
   std::vector<campaign::RunSpec> specs;
   for (const auto policy : {ahb::ArbitrationPolicy::kFixedPriority,
                             ahb::ArbitrationPolicy::kRoundRobin}) {
     for (const unsigned waits : {0u, 1u, 3u}) {
-      specs.push_back(sweep_spec(o, policy, waits));
+      campaign::SystemSpec spec = o.system;
+      spec.policy = policy;
+      spec.wait_states = waits;
+      spec.txn_trace = true;
+      points.push_back({std::string(policy == ahb::ArbitrationPolicy::kFixedPriority
+                                        ? "fixed"
+                                        : "rr") +
+                            "/w" + std::to_string(waits),
+                        spec});
+      specs.push_back(campaign::run_spec(points.back().name, spec, o.cycles));
     }
   }
   campaign::Campaign::Config pool_cfg;
@@ -444,7 +350,8 @@ int run_sweep(const Options& o) {
   // re-executing what already completed.
   std::unique_ptr<campaign::JournalWriter> journal;
   campaign::JournalLoadResult restored;
-  const std::uint64_t fingerprint = sweep_fingerprint(o, specs);
+  const std::uint64_t fingerprint =
+      campaign::sweep_fingerprint(points, o.cycles, pool_cfg);
   if (!o.journal_dir.empty()) {
     std::filesystem::create_directories(o.journal_dir);
     const std::filesystem::path jpath =
@@ -686,58 +593,24 @@ int main(int argc, char** argv) {
 
   telemetry::MetricsRegistry metrics;
   const bool telemetry_on = !o.telemetry_dir.empty();
-  sim::Kernel kernel;
-  kernel.set_cancel_flag(&g_interrupted);
+  campaign::SystemSpec spec = o.system;
+  spec.telemetry_window_cycles =
+      telemetry_on || !o.csv.empty() ? o.window_cycles : 0;
+  spec.txn_trace = o.txn_trace || o.attribution;
+  spec.metrics = telemetry_on ? &metrics : nullptr;
+  campaign::System sys(spec);
+  sys.kernel.set_cancel_flag(&g_interrupted);
   if (o.run_budget_s > 0.0) {
-    kernel.set_budget(sim::RunBudget{.max_wall_seconds = o.run_budget_s});
+    sys.kernel.set_budget(sim::RunBudget{.max_wall_seconds = o.run_budget_s});
   }
-  sim::Module top(nullptr, "top");
-  sim::Clock clk(&top, "clk", sim::SimTime::ns(kClockNs), 0.5,
-                 sim::SimTime::ns(kClockNs));
-  ahb::AhbBus bus(&top, "ahb", clk, ahb::AhbBus::Config{.policy = o.policy});
-
-  ahb::DefaultMaster dm(&top, "default_master", bus);
-  std::vector<std::unique_ptr<ahb::TrafficMaster>> masters;
-  for (unsigned m = 0; m < o.masters; ++m) {
-    masters.push_back(std::make_unique<ahb::TrafficMaster>(
-        &top, "m" + std::to_string(m + 1), bus,
-        ahb::TrafficMaster::Config{
-            .addr_base = 0x1000u * (m % o.slaves),
-            .addr_range = 0x1000,
-            .seed = o.seed + 97 * m,
-        }));
-  }
-  auto injector = make_injector(o, telemetry_on ? &metrics : nullptr);
-  std::vector<std::unique_ptr<ahb::MemorySlave>> slaves;
-  for (unsigned s = 0; s < o.slaves; ++s) {
-    slaves.push_back(std::make_unique<ahb::MemorySlave>(
-        &top, "s" + std::to_string(s + 1), bus,
-        ahb::MemorySlave::Config{
-            .base = 0x1000u * s,
-            .size = 0x1000,
-            .wait_states = o.waits,
-            .fault_hook = injector ? injector->hook(s) : ahb::FaultHook{}}));
-  }
-  bus.finalize();
-
-  ahb::BusMonitor::Config mon_cfg{.fatal = false,
-                                  .metrics = telemetry_on ? &metrics : nullptr};
-  ahb::BusMonitor mon(&top, "monitor", bus, mon_cfg);
-  power::AhbPowerEstimator est(
-      &top, "power", bus,
-      power::AhbPowerEstimator::Config{
-          .telemetry_window_cycles =
-              telemetry_on || !o.csv.empty() ? o.window_cycles : 0,
-          .txn_trace = o.txn_trace || o.attribution,
-          .metrics = telemetry_on ? &metrics : nullptr});
   std::unique_ptr<ahb::TraceRecorder> recorder;
   if (!o.trace_out.empty()) {
-    recorder = std::make_unique<ahb::TraceRecorder>(&top, "recorder", bus);
+    recorder = std::make_unique<ahb::TraceRecorder>(&sys.top, "recorder", sys.bus);
   }
 
+  campaign::PowerReport report;
   try {
-    kernel.run(sim::SimTime::ns(kClockNs) *
-               static_cast<std::int64_t>(o.cycles));
+    report = sys.run(o.cycles);
   } catch (const sim::BudgetExceededError& e) {
     std::fprintf(stderr, "run aborted: %s\n", e.what());
     return 3;
@@ -745,23 +618,24 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "run interrupted by signal %d\n", g_signal.load());
     return 128 + g_signal.load();
   }
-  est.flush_telemetry();
+  const power::AhbPowerEstimator& est = *sys.est;
+  const ahb::BusMonitor& mon = *sys.mon;
 
-  const double secs = kernel.now().to_seconds();
+  const double secs = sys.kernel.now().to_seconds();
   std::printf("ahbpower: %llu cycles @ 100 MHz | %llu transfers | %s | avg %s | "
               "data %.1f%% arb %.1f%% | %zu violations\n",
-              static_cast<unsigned long long>(est.fsm().cycles()),
-              static_cast<unsigned long long>(mon.stats().transfers),
-              power::format_energy(est.total_energy()).c_str(),
-              power::format_power(est.total_energy() / secs).c_str(),
-              100.0 * power::data_transfer_share(est.fsm()),
-              100.0 * power::arbitration_share(est.fsm()),
+              static_cast<unsigned long long>(report.cycles),
+              static_cast<unsigned long long>(report.transfers),
+              power::format_energy(report.total_energy).c_str(),
+              power::format_power(report.total_energy / secs).c_str(),
+              100.0 * report.metrics.at("data_share"),
+              100.0 * report.metrics.at("arb_share"),
               mon.violations().size());
-  if (injector) {
-    const fault::FaultInjector::Stats& fs = injector->stats();
+  if (sys.injector) {
+    const fault::FaultInjector::Stats& fs = sys.injector->stats();
     std::printf("faults (seed %llu): %llu transfers hit | %llu retries | "
                 "%llu errors | %llu jitter cycles\n",
-                static_cast<unsigned long long>(o.fault_seed),
+                static_cast<unsigned long long>(*spec.fault_seed),
                 static_cast<unsigned long long>(fs.retries + fs.errors +
                                                 fs.splits + fs.jitter_hits),
                 static_cast<unsigned long long>(fs.retries),
@@ -769,8 +643,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fs.jitter_cycles));
   }
 
-  const telemetry::ExportMeta meta{.tick_ns = static_cast<double>(kClockNs),
-                                   .process_name = "ahbpower"};
+  const telemetry::ExportMeta meta{
+      .tick_ns = static_cast<double>(campaign::kCycle.nanoseconds()),
+      .process_name = "ahbpower"};
+  // Master names by attribution index: the default master, then m1...
+  std::vector<std::string> names{sys.dm.basename()};
+  for (const auto& m : sys.masters) names.push_back(m->basename());
   if (telemetry_on) {
     emit_or_die([&] {
       telemetry::write_window_csv_file(
@@ -787,11 +665,8 @@ int main(int argc, char** argv) {
       const power::TransactionTracer& txn = *est.txn_tracer();
       // Per-master span tracks named after the module hierarchy.
       telemetry::ExportMeta txn_meta = meta;
-      txn_meta.threads.emplace_back(telemetry::txn_track_tid(0),
-                                    "default_master");
-      for (unsigned m = 0; m < o.masters; ++m) {
-        txn_meta.threads.emplace_back(telemetry::txn_track_tid(m + 1),
-                                      "m" + std::to_string(m + 1));
+      for (std::size_t m = 0; m < names.size(); ++m) {
+        txn_meta.threads.emplace_back(telemetry::txn_track_tid(m), names[m]);
       }
       emit_or_die([&] {
         telemetry::write_txn_csv_file(output_path(o.telemetry_dir, "txns.csv"),
@@ -808,6 +683,7 @@ int main(int argc, char** argv) {
       // Run-level and scheduler-level context beside the power metrics.
       metrics.counter("run.transfers").add(mon.stats().transfers);
       metrics.counter("run.protocol_violations").add(mon.violations().size());
+      const sim::Kernel& kernel = sys.kernel;
       metrics.counter("sim.deltas").add(kernel.delta_count());
       metrics.counter("sim.processes_executed")
           .add(kernel.stats().processes_executed);
@@ -838,10 +714,6 @@ int main(int argc, char** argv) {
     std::fputs(power::format_block_breakdown(est.block_totals()).c_str(), stdout);
   }
   if (o.attribution) {
-    std::vector<std::string> names{"default_master"};
-    for (unsigned m = 0; m < o.masters; ++m) {
-      names.push_back("m" + std::to_string(m + 1));
-    }
     std::putchar('\n');
     std::fputs(power::format_master_attribution(est.txn_tracer()->attribution(),
                                                 names)
