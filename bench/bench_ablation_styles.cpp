@@ -54,9 +54,9 @@ StyleRun run_global() {
                                 power::PowerFsm::Config{
                                     .n_masters = sys.bus.n_masters(),
                                     .n_slaves = sys.bus.n_slaves()});
-  power::BusActivityProbe probe(&sys.top, "probe", sys.bus, an);
+  sys.bus.attach_observer(an);
   sys.kernel.run(kSimTime);
-  return {ms_since(t0), an.total_energy(), probe.posted()};
+  return {ms_since(t0), an.total_energy(), an.fsm().cycles()};
 }
 
 StyleRun run_private() {
@@ -91,7 +91,7 @@ int main() {
   const double t_func = best[0].ms;
   const double e_local = best[1].energy, t_local = best[1].ms;
   const double e_global = best[2].energy, t_global = best[2].ms;
-  const std::uint64_t posted = best[2].count;
+  const std::uint64_t views = best[2].count;
   const double e_priv = best[3].energy, t_priv = best[3].ms;
   const std::uint64_t events = best[3].count;
 
@@ -108,9 +108,9 @@ int main() {
   row("global (analyzer)", e_global, t_global, "(most reusable)");
   row("private (per-event)", e_priv, t_priv, "(most intrusive)");
 
-  std::printf("\nglobal probe posted %llu cycle records; private style handled %llu"
-              " signal events\n",
-              static_cast<unsigned long long>(posted),
+  std::printf("\nglobal analyzer received %llu cycle views; private style handled"
+              " %llu signal events\n",
+              static_cast<unsigned long long>(views),
               static_cast<unsigned long long>(events));
 
   const bool agree = e_global > 0.999 * e_local && e_global < 1.001 * e_local;

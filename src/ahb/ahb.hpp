@@ -6,10 +6,12 @@
 //   ScriptedMaster                -- masters
 //   MemorySlave, DefaultSlave     -- slaves
 //   BusMonitor                    -- protocol checker + statistics
+//   CycleView, CycleObserver      -- the per-cycle sampler's protocol
 
 #include "ahb/arbiter.hpp"
 #include "ahb/burst.hpp"
 #include "ahb/bus.hpp"
+#include "ahb/cycle_view.hpp"
 #include "ahb/decoder.hpp"
 #include "ahb/master.hpp"
 #include "ahb/monitor.hpp"

@@ -1,14 +1,16 @@
 #pragma once
 // AhbBus: the top-level AHB fabric, owning the shared signals and the
 // four sub-blocks of the paper's structural decomposition (arbiter,
-// decoder, M2S mux, S2M mux) plus the pipeline register and the built-in
-// default slave.
+// decoder, M2S mux, S2M mux) plus the pipeline register, the built-in
+// default slave and the one per-cycle sampler every bus observer shares.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ahb/arbiter.hpp"
+#include "ahb/cycle_view.hpp"
 #include "ahb/decoder.hpp"
 #include "ahb/mux.hpp"
 #include "ahb/signals.hpp"
@@ -25,7 +27,7 @@ class DefaultSlave;
 ///   1. construct the AhbBus with its clock;
 ///   2. construct masters (AhbMaster subclasses) and slaves (AhbSlave
 ///      subclasses) against it -- they self-attach;
-///   3. call finalize() once; then run the kernel.
+///   3. call finalize() once, attach the observers; then run the kernel.
 ///
 /// finalize() instantiates the internal default slave (unmapped
 /// addresses), wires the decoder fallback and creates all combinational
@@ -64,6 +66,21 @@ public:
   [[nodiscard]] unsigned n_slaves() const { return decoder_.n_slaves(); }
   ///@}
 
+  /// @name Per-cycle sampling
+  ///@{
+  /// Adds `o` to the bus's one sampler: a falling-edge process, created
+  /// on the first attach, that builds the cycle's view once and delivers
+  /// it to every observer in attach order. A bus without observers runs
+  /// no sampling process. `o` is not owned and must outlive the run.
+  void attach_observer(CycleObserver& o);
+  /// The view of the settled values the bus holds right now (after
+  /// finalize()).
+  [[nodiscard]] CycleView sample_view();
+  /// The view out of reset, before the first rising edge: IDLE, ready,
+  /// OKAY, no data phase, the default master owning and granted.
+  [[nodiscard]] CycleView reset_view() const;
+  ///@}
+
   /// @name Sub-blocks (the paper's structural decomposition)
   ///@{
   [[nodiscard]] Arbiter& arbiter() { return arbiter_; }
@@ -84,6 +101,8 @@ private:
   MuxS2M s2m_;
   std::unique_ptr<DefaultSlave> default_slave_;
   bool finalized_ = false;
+  std::vector<CycleObserver*> observers_;
+  std::unique_ptr<sim::Method> sampler_;
 };
 
 }  // namespace ahbp::ahb

@@ -1,11 +1,108 @@
 #include "ahb/monitor.hpp"
 
+#include <bit>
+
 #include "ahb/burst.hpp"
 #include "sim/report.hpp"
 
 namespace ahbp::ahb {
 
 using sim::SimError;
+
+namespace {
+/// HGRANTx lines asserted among the first `masters`.
+int grants(const CycleView& v, unsigned masters) {
+  return std::popcount(masters >= 32 ? v.grant_vector
+                                     : v.grant_vector & ((1u << masters) - 1u));
+}
+}  // namespace
+
+std::uint32_t check_rules(const CycleView& prev, const CycleView& cur,
+                          unsigned masters) {
+  const auto htrans = static_cast<Trans>(cur.htrans);
+  const auto prev_htrans = static_cast<Trans>(prev.htrans);
+  const bool resp = cur.hresp != raw(Resp::kOkay);
+  const bool prev_resp = prev.hresp != raw(Resp::kOkay);
+  const bool handover = cur.hmaster != prev.hmaster;
+  std::uint32_t fired = 0;
+  const auto rule = [&fired](ProtocolRule r, bool broken) {
+    if (broken) fired |= r;
+  };
+
+  rule(kRuleOneGrant, grants(cur, masters) != 1);
+  // The bus must be ready, and OKAY, whenever no data phase is in flight.
+  rule(kRuleReadyWithoutData, !cur.data_active && !cur.hready);
+  rule(kRuleRespWithoutData, resp && !cur.data_active);
+  // Two-cycle response rule: the first RETRY/ERROR/SPLIT cycle must
+  // drive HREADY low (so pipelined masters can cancel the following
+  // address phase); the second must keep the same HRESP and raise
+  // HREADY; there is no third cycle.
+  rule(kRuleSingleCycleResp, resp && !prev_resp && cur.hready);
+  rule(kRuleRespChanged, prev_resp && !prev.hready && cur.hresp != prev.hresp);
+  rule(kRuleRespStretched, prev_resp && !prev.hready && !cur.hready);
+  // A masked master must never (re)gain the bus. The arbiter moved
+  // HMASTER at the rising edge that opened `cur`, after the slaves'
+  // rising-edge processes (registered before it) had applied that edge's
+  // splits and resumes -- so it decided against the mask `cur` carries.
+  rule(kRuleSplitMaskedGrant,
+       handover && ((cur.split_vector >> cur.hmaster) & 1u) != 0);
+  // The address phase is held stable while the bus is stalled.
+  rule(kRuleAddrChangedInWait,
+       !prev.hready && is_active(prev_htrans) &&
+           (cur.haddr != prev.haddr || cur.htrans != prev.htrans ||
+            cur.hwrite != prev.hwrite));
+  // SEQ and BUSY only continue a burst. A SEQ beat following an accepted
+  // beat continues the burst's address pattern; a SEQ after BUSY carries
+  // the address the BUSY beat already showed.
+  rule(kRuleSeqAfterIdle, htrans == Trans::kSeq && prev_htrans == Trans::kIdle);
+  if (htrans == Trans::kSeq && prev.hready) {
+    std::uint32_t expected = prev.haddr;
+    if (prev_htrans == Trans::kNonSeq || prev_htrans == Trans::kSeq) {
+      expected = next_burst_addr(prev.haddr, static_cast<Burst>(prev.hburst),
+                                 static_cast<Size>(prev.hsize));
+    }
+    rule(kRuleSeqBreaksBurst, cur.haddr != expected);
+  }
+  rule(kRuleBusyOutsideBurst,
+       htrans == Trans::kBusy && prev_htrans == Trans::kIdle);
+  // Handover is only legal out of an IDLE address phase.
+  rule(kRuleHandoverMidTransfer, handover && prev_htrans != Trans::kIdle);
+  return fired;
+}
+
+std::string describe_rule(ProtocolRule rule, const CycleView& cur,
+                          unsigned masters) {
+  const std::string resp = to_string(static_cast<Resp>(cur.hresp));
+  switch (rule) {
+    case kRuleOneGrant:
+      return "expected exactly one HGRANT asserted, saw " +
+             std::to_string(grants(cur, masters));
+    case kRuleReadyWithoutData:
+      return "HREADY low with no data phase in flight";
+    case kRuleRespWithoutData:
+      return "non-OKAY HRESP with no data phase in flight";
+    case kRuleSingleCycleResp:
+      return "single-cycle " + resp +
+             " response (HREADY must be low on the first cycle)";
+    case kRuleRespChanged:
+      return "HRESP changed between the two response cycles";
+    case kRuleRespStretched:
+      return "two-cycle " + resp + " response stretched beyond two cycles";
+    case kRuleSplitMaskedGrant:
+      return "split-masked master granted the bus";
+    case kRuleAddrChangedInWait:
+      return "address phase changed during wait states";
+    case kRuleSeqAfterIdle:
+      return "SEQ transfer immediately after IDLE";
+    case kRuleSeqBreaksBurst:
+      return "SEQ beat breaks the burst address sequence";
+    case kRuleBusyOutsideBurst:
+      return "BUSY beat outside a burst";
+    case kRuleHandoverMidTransfer:
+      return "bus handover while the previous owner was mid-transfer";
+  }
+  return "unknown rule";
+}
 
 BusMonitor::BusMonitor(sim::Module* parent, std::string name, AhbBus& bus)
     : BusMonitor(parent, std::move(name), bus, Config{}) {}
@@ -14,146 +111,54 @@ BusMonitor::BusMonitor(sim::Module* parent, std::string name, AhbBus& bus, Confi
     : Module(parent, std::move(name)),
       bus_(bus),
       cfg_(cfg),
-      proc_(this, "check", [this] { on_clock(); }) {
-  proc_.sensitive(bus.clock().posedge_event()).dont_initialize();
+      prev_(bus.reset_view()) {
+  count(prev_);
   if (cfg_.metrics != nullptr) {
     c_violations_ = &cfg_.metrics->counter("ahb.monitor.violations");
   }
+  bus.attach_observer(*this);
 }
 
-void BusMonitor::violation(const std::string& what) {
-  // Context prefix: where (cycle / sim time) and who (address-phase
-  // master, plus the selected data-phase slave when one is in flight).
-  std::string msg = "cycle " + std::to_string(stats_.cycles) + " @" +
-                    kernel().now().to_string() + " master " +
-                    std::to_string(bus_.bus().hmaster.read());
-  const std::uint8_t ds = bus_.pipeline().data_phase_slave().read();
-  if (ds != 0xFF) msg += " slave " + std::to_string(ds);
-  msg += ": " + what;
-  violations_.push_back(msg);
-  if (c_violations_ != nullptr) c_violations_->increment();
-  if (cfg_.fatal) {
-    throw SimError("AHB protocol violation at " + msg);
-  }
-  sim::warn("ahb-protocol", msg);
-}
-
-void BusMonitor::on_clock() {
-  BusSignals& b = bus_.bus();
-  const auto htrans = static_cast<Trans>(b.htrans.read());
-  const bool hready = b.hready.read();
-  const auto hresp = static_cast<Resp>(b.hresp.read());
-  const bool data_active = bus_.pipeline().data_phase_active().read();
-  const bool data_write = bus_.pipeline().data_phase_write().read();
-  const std::uint8_t hmaster = b.hmaster.read();
-
+void BusMonitor::count(const CycleView& v) {
+  const auto hresp = static_cast<Resp>(v.hresp);
   ++stats_.cycles;
-
-  // --- statistics --------------------------------------------------------
-  if (data_active && hready) {
+  if (v.data_active && v.hready) {
     ++stats_.transfers;
-    if (data_write) {
+    if (v.data_write) {
       ++stats_.writes;
     } else {
       ++stats_.reads;
     }
   }
-  if (data_active && !hready) ++stats_.wait_cycles;
-  if (htrans == Trans::kIdle) ++stats_.idle_cycles;
-  if (prev_.valid && hmaster != prev_.hmaster) ++stats_.handovers;
-  if (hresp == Resp::kError && hready) ++stats_.error_responses;
-  if (hresp == Resp::kRetry && hready) ++stats_.retry_responses;
-  if (hresp == Resp::kSplit && hready) ++stats_.split_responses;
+  if (v.data_active && !v.hready) ++stats_.wait_cycles;
+  if (static_cast<Trans>(v.htrans) == Trans::kIdle) ++stats_.idle_cycles;
+  if (v.hmaster != prev_.hmaster) ++stats_.handovers;
+  if (hresp == Resp::kError && v.hready) ++stats_.error_responses;
+  if (hresp == Resp::kRetry && v.hready) ++stats_.retry_responses;
+  if (hresp == Resp::kSplit && v.hready) ++stats_.split_responses;
+}
 
-  // --- protocol checks ----------------------------------------------------
-  // Exactly one grant must be asserted.
-  unsigned grants = 0;
-  for (unsigned m = 0; m < bus_.n_masters(); ++m) {
-    if (bus_.hgrant(m).read()) ++grants;
-  }
-  if (grants != 1) {
-    violation("expected exactly one HGRANT asserted, saw " + std::to_string(grants));
-  }
-
-  // The bus must be ready whenever no data phase is in flight.
-  if (!data_active && !hready) {
-    violation("HREADY low with no data phase in flight");
-  }
-
-  // A non-OKAY response only makes sense against an in-flight data phase.
-  if (hresp != Resp::kOkay && !data_active) {
-    violation("non-OKAY HRESP with no data phase in flight");
-  }
-
-  // Two-cycle response rule: the first RETRY/ERROR/SPLIT cycle must
-  // drive HREADY low (so pipelined masters can cancel the following
-  // address phase); the second must keep the same HRESP and raise
-  // HREADY; there is no third cycle.
-  const bool first_resp_cycle =
-      hresp != Resp::kOkay && (!prev_.valid || prev_.hresp == Resp::kOkay);
-  if (first_resp_cycle && hready) {
-    violation("single-cycle " + std::string(to_string(hresp)) +
-              " response (HREADY must be low on the first cycle)");
-  }
-  if (prev_.valid && prev_.hresp != Resp::kOkay && !prev_.hready) {
-    if (hresp != prev_.hresp) {
-      violation("HRESP changed between the two response cycles");
-    }
-    if (!hready) {
-      violation("two-cycle " + std::string(to_string(hresp)) +
-                " response stretched beyond two cycles");
+void BusMonitor::on_cycle(const CycleView& v) {
+  count(v);
+  const unsigned masters = bus_.n_masters();
+  if (const std::uint32_t fired = check_rules(prev_, v, masters)) {
+    // Context prefix: where (cycle count, the reset cycle being cycle 1,
+    // and the sampling time) and who (address-phase master, plus the
+    // data-phase slave when one is in flight).
+    std::string where = "cycle " + std::to_string(stats_.cycles) + " @" +
+                        kernel().now().to_string() + " master " +
+                        std::to_string(v.hmaster);
+    if (v.data_slave != 0xFF) where += " slave " + std::to_string(v.data_slave);
+    for (std::uint32_t bits = fired; bits != 0; bits &= bits - 1) {
+      const auto rule = static_cast<ProtocolRule>(1u << std::countr_zero(bits));
+      const std::string msg = where + ": " + describe_rule(rule, v, masters);
+      violations_.push_back(msg);
+      if (c_violations_ != nullptr) c_violations_->increment();
+      if (cfg_.fatal) throw SimError("AHB protocol violation at " + msg);
+      sim::warn("ahb-protocol", msg);
     }
   }
-
-  // Split-mask discipline: a masked master must never (re)gain the bus.
-  if (prev_.valid && hmaster != prev_.hmaster &&
-      ((bus_.arbiter().split_mask() >> hmaster) & 1u) != 0) {
-    violation("split-masked master granted the bus");
-  }
-
-  if (prev_.valid) {
-    // Address phase must be held stable while the bus is stalled.
-    if (!prev_.hready && is_active(prev_.htrans)) {
-      if (b.haddr.read() != prev_.haddr || htrans != prev_.htrans ||
-          b.hwrite.read() != prev_.hwrite) {
-        violation("address phase changed during wait states");
-      }
-    }
-    // SEQ may only continue a burst, never start one.
-    if (htrans == Trans::kSeq && prev_.htrans == Trans::kIdle) {
-      violation("SEQ transfer immediately after IDLE");
-    }
-    // Burst address sequencing: a SEQ beat following an accepted beat
-    // must continue the burst's address pattern; a SEQ after BUSY must
-    // carry the address the BUSY beat already showed. (BUSY itself may
-    // only appear inside a burst.)
-    if (htrans == Trans::kSeq && prev_.hready) {
-      std::uint32_t expected = prev_.haddr;
-      if (prev_.htrans == Trans::kNonSeq || prev_.htrans == Trans::kSeq) {
-        expected = next_burst_addr(prev_.haddr, prev_.hburst, prev_.hsize);
-      }
-      if (b.haddr.read() != expected) {
-        violation("SEQ beat breaks the burst address sequence");
-      }
-    }
-    if (htrans == Trans::kBusy && prev_.htrans == Trans::kIdle) {
-      violation("BUSY beat outside a burst");
-    }
-    // Handover is only legal out of an IDLE address phase.
-    if (hmaster != prev_.hmaster && prev_.htrans != Trans::kIdle) {
-      violation("bus handover while the previous owner was mid-transfer");
-    }
-  }
-
-  prev_.valid = true;
-  prev_.haddr = b.haddr.read();
-  prev_.htrans = htrans;
-  prev_.hwrite = b.hwrite.read();
-  prev_.hready = hready;
-  prev_.hmaster = hmaster;
-  prev_.hburst = static_cast<Burst>(b.hburst.read());
-  prev_.hsize = static_cast<Size>(b.hsize.read());
-  prev_.hresp = hresp;
+  prev_ = v;
 }
 
 }  // namespace ahbp::ahb

@@ -1,23 +1,50 @@
 #pragma once
 // Bus monitor: AHB protocol checker and cycle-level statistics.
 //
-// Passive observer -- attach it to a finalized bus and it samples the
-// shared signals once per clock edge (the values settled in the cycle
-// that just ended), verifying protocol invariants and counting activity.
+// Passive observer on the bus's per-cycle sampler: each cycle it
+// receives the settled-cycle view, checks the protocol rules -- a pure
+// function of the previous and the current view -- and counts activity.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ahb/bus.hpp"
+#include "ahb/cycle_view.hpp"
 #include "sim/module.hpp"
-#include "sim/process.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ahbp::ahb {
 
+/// The monitor's protocol rules, one bit each in a check_rules() mask,
+/// in reporting order.
+enum ProtocolRule : std::uint32_t {
+  kRuleOneGrant = 1u << 0,           ///< exactly one HGRANT asserted
+  kRuleReadyWithoutData = 1u << 1,   ///< HREADY low needs a data phase
+  kRuleRespWithoutData = 1u << 2,    ///< non-OKAY HRESP needs a data phase
+  kRuleSingleCycleResp = 1u << 3,    ///< first response cycle has HREADY low
+  kRuleRespChanged = 1u << 4,        ///< HRESP held over both response cycles
+  kRuleRespStretched = 1u << 5,      ///< no third response cycle
+  kRuleSplitMaskedGrant = 1u << 6,   ///< a split-masked master never gains the bus
+  kRuleAddrChangedInWait = 1u << 7,  ///< address phase held while stalled
+  kRuleSeqAfterIdle = 1u << 8,       ///< SEQ never follows IDLE
+  kRuleSeqBreaksBurst = 1u << 9,     ///< SEQ continues the burst's addresses
+  kRuleBusyOutsideBurst = 1u << 10,  ///< BUSY never follows IDLE
+  kRuleHandoverMidTransfer = 1u << 11,  ///< handover only out of IDLE
+};
+
+/// Every rule the step from `prev` to `cur` breaks, as a ProtocolRule
+/// mask; `masters` is the number of attached masters. Pure: equal
+/// arguments give equal masks.
+[[nodiscard]] std::uint32_t check_rules(const CycleView& prev,
+                                        const CycleView& cur, unsigned masters);
+
+/// What `rule` says went wrong in the step into `cur`.
+[[nodiscard]] std::string describe_rule(ProtocolRule rule, const CycleView& cur,
+                                        unsigned masters);
+
 /// Protocol checker + statistics counter.
-class BusMonitor : public sim::Module {
+class BusMonitor : public sim::Module, public CycleObserver {
 public:
   struct Config {
     /// Throw sim::SimError on the first violation (true) or just record
@@ -28,6 +55,8 @@ public:
     telemetry::MetricsRegistry* metrics = nullptr;
   };
 
+  /// Activity per observed cycle. The reset view counts as the first
+  /// cycle, so `cycles` is one more than the views received.
   struct Stats {
     std::uint64_t cycles = 0;
     std::uint64_t transfers = 0;  ///< completed data phases
@@ -41,39 +70,26 @@ public:
     std::uint64_t split_responses = 0;  ///< completed SPLIT responses
   };
 
+  /// The monitor may attach before or after finalize(); its previous
+  /// view starts at the bus's reset values (AhbBus::reset_view()).
   BusMonitor(sim::Module* parent, std::string name, AhbBus& bus);
   BusMonitor(sim::Module* parent, std::string name, AhbBus& bus, Config cfg);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::string>& violations() const { return violations_; }
 
+  void on_cycle(const CycleView& v) override;
+
 private:
-  void on_clock();
-  /// Records `what` prefixed with where it happened (cycle, sim time,
-  /// address-phase master, data-phase slave when one is selected).
-  void violation(const std::string& what);
+  /// Adds cycle `v` (preceded by prev_) to the statistics.
+  void count(const CycleView& v);
 
   AhbBus& bus_;
   Config cfg_;
   Stats stats_;
   std::vector<std::string> violations_;
   telemetry::Counter* c_violations_ = nullptr;
-
-  /// Snapshot of the previous cycle's settled values.
-  struct Snapshot {
-    bool valid = false;
-    std::uint32_t haddr = 0;
-    Trans htrans = Trans::kIdle;
-    bool hwrite = false;
-    bool hready = true;
-    std::uint8_t hmaster = 0;
-    Burst hburst = Burst::kSingle;
-    Size hsize = Size::kWord;
-    Resp hresp = Resp::kOkay;
-  };
-  Snapshot prev_;
-
-  sim::Method proc_;
+  CycleView prev_;  ///< the previous view, initially the reset view
 };
 
 }  // namespace ahbp::ahb

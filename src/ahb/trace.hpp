@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "ahb/cycle_view.hpp"
 #include "ahb/master.hpp"
-#include "ahb/monitor.hpp"
 #include "sim/process.hpp"
 
 namespace ahbp::ahb {
@@ -53,21 +53,20 @@ private:
   std::vector<TransferRecord> records_;
 };
 
-/// Passive recorder: samples the bus each cycle and appends every
+/// Passive recorder: observes the bus each cycle and appends every
 /// completed transfer to its trace.
-class TraceRecorder : public sim::Module {
+class TraceRecorder : public sim::Module, public CycleObserver {
 public:
   TraceRecorder(sim::Module* parent, std::string name, AhbBus& bus);
 
   [[nodiscard]] const TransactionTrace& trace() const { return trace_; }
 
-private:
-  void on_cycle();
+  void on_cycle(const CycleView& v) override;
 
+private:
   AhbBus& bus_;
   TransactionTrace trace_;
   std::uint64_t cycle_ = 0;
-  sim::Method proc_;
 };
 
 /// Replays a (single-master) trace: performs each recorded transfer at

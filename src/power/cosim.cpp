@@ -94,8 +94,7 @@ GateLevelCrossCheck::GateLevelCrossCheck(sim::Module* parent, std::string name,
       arb_sim_(arb_nl_.nl, tech),
       arb_model_(std::max(2u, bus.n_masters()), tech),
       engine_(engine),
-      lane_prev_addr_(bus.n_masters(), 0),
-      proc_(this, "cosim", [this] { on_cycle(); }) {
+      lane_prev_addr_(bus.n_masters(), 0) {
   if (!bus.finalized()) {
     throw SimError("GateLevelCrossCheck: bus must be finalized first");
   }
@@ -107,7 +106,7 @@ GateLevelCrossCheck::GateLevelCrossCheck(sim::Module* parent, std::string name,
     pend_sel_.reserve(gate::BitSim::kLanes);
     pend_req_.reserve(gate::BitSim::kLanes);
   }
-  proc_.sensitive(bus.clock().negedge_event()).dont_initialize();
+  bus.attach_observer(*this);
 }
 
 const CosimSeries& GateLevelCrossCheck::mux_series() const {
@@ -207,9 +206,8 @@ void GateLevelCrossCheck::flush_batch() {
   pend_req_.clear();
 }
 
-void GateLevelCrossCheck::on_cycle() {
+void GateLevelCrossCheck::on_cycle(const ahb::CycleView& v) {
   ++cycles_;
-  const ahb::BusSignals& b = bus_.bus();
   const unsigned n_masters = bus_.n_masters();
 
   // --- address-path mux ---------------------------------------------------
@@ -217,8 +215,10 @@ void GateLevelCrossCheck::on_cycle() {
   // HMASTER as select; its output equals the bus address.
   const bool batched = engine_ == Engine::kBatched;
   unsigned hd_in = 0;
-  const std::uint8_t hm = b.hmaster.read();
+  const std::uint8_t hm = v.hmaster;
   for (unsigned m = 0; m < n_masters; ++m) {
+    // Per-master HADDR is not in the view: read it live, at the same
+    // instant the view was built.
     const std::uint32_t a = bus_.m2s().input(m).haddr.read();
     if (m == hm) hd_in = hamming(prev_master_addr_[m], a);
     prev_master_addr_[m] = a;
@@ -240,16 +240,13 @@ void GateLevelCrossCheck::on_cycle() {
     gate_mux_e = mux_sim_.energy();
   }
 
-  const std::uint32_t addr_out = b.haddr.read();
-  const unsigned hd_out = hamming(prev_addr_out_, addr_out);
-  const unsigned hd_sel = hm != prev_hmaster_ ? 2u : 0u;
-  prev_addr_out_ = addr_out;
-  prev_hmaster_ = hm;
+  const unsigned hd_out = hamming(prev_.haddr, v.haddr);
+  const unsigned hd_sel = hm != prev_.hmaster ? 2u : 0u;
   mux_series_.model.push_back(mux_model_.energy(hd_in, hd_sel, hd_out));
   if (!batched) mux_series_.gate.push_back(gate_mux_e);
 
   // --- arbiter -------------------------------------------------------------
-  const std::uint32_t req = bus_.arbiter().request_vector();
+  const std::uint32_t req = v.req_vector;
   if (!batched) {
     for (unsigned m = 0; m < n_masters; ++m) {
       arb_sim_.set_input(arb_nl_.req[m], (req >> m & 1u) != 0);
@@ -259,7 +256,8 @@ void GateLevelCrossCheck::on_cycle() {
   }
 
   const bool handover = hd_sel != 0;
-  arb_series_.model.push_back(arb_model_.energy(hamming(prev_req_, req), handover));
+  arb_series_.model.push_back(
+      arb_model_.energy(hamming(prev_.req_vector, req), handover));
   if (batched) {
     pend_sel_.push_back(hm);
     pend_req_.push_back(req);
@@ -267,7 +265,7 @@ void GateLevelCrossCheck::on_cycle() {
   } else {
     arb_series_.gate.push_back(arb_sim_.energy());
   }
-  prev_req_ = req;
+  prev_ = v;
 }
 
 }  // namespace ahbp::power

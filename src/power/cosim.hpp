@@ -19,7 +19,6 @@
 #include "gate/synth.hpp"
 #include "power/macromodel.hpp"
 #include "sim/module.hpp"
-#include "sim/process.hpp"
 
 namespace ahbp::power {
 
@@ -36,8 +35,9 @@ struct CosimSeries {
   [[nodiscard]] double totals_ratio() const;
 };
 
-/// Runs the gate-level address mux and arbiter beside a live bus.
-class GateLevelCrossCheck : public sim::Module {
+/// Runs the gate-level address mux and arbiter beside a live bus, as an
+/// observer on its per-cycle sampler.
+class GateLevelCrossCheck : public sim::Module, public ahb::CycleObserver {
 public:
   /// How the gate-level references are evaluated.
   enum class Engine : std::uint8_t {
@@ -67,8 +67,9 @@ public:
   /// continues seamlessly afterwards. No-op for kPerCycle.
   void flush();
 
+  void on_cycle(const ahb::CycleView& v) override;
+
 private:
-  void on_cycle();
   void flush_batch();
 
   ahb::AhbBus& bus_;
@@ -78,15 +79,13 @@ private:
   gate::GateSim mux_sim_;
   MuxModel mux_model_;
   CosimSeries mux_series_;
-  std::uint32_t prev_addr_out_ = 0;
-  std::uint8_t prev_hmaster_ = 0;
   std::vector<std::uint32_t> prev_master_addr_;
 
   gate::ArbiterNetlist arb_nl_;
   gate::GateSim arb_sim_;
   ArbiterFsmModel arb_model_;
   CosimSeries arb_series_;
-  std::uint32_t prev_req_ = 0;
+  ahb::CycleView prev_;  ///< the previous cycle's view
 
   // Batched engine state: buffered stimulus for the in-flight batch and
   // the carry (the last flushed cycle's assignment, lane 0's "previous").
@@ -102,7 +101,6 @@ private:
   std::vector<std::uint64_t> pin_words_;  ///< flush scratch, no per-batch alloc
 
   std::uint64_t cycles_ = 0;
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::power

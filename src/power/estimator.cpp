@@ -20,8 +20,7 @@ AhbPowerEstimator::AhbPowerEstimator(sim::Module* parent, std::string name,
                             .data_width = 32,
                             .addr_width = 32,
                             .control_width = 8,
-                            .tech = cfg.tech}),
-      proc_(this, "sample", [this] { on_cycle(); }) {
+                            .tech = cfg.tech}) {
   if (!bus.finalized()) {
     throw SimError("AhbPowerEstimator: bus must be finalized first");
   }
@@ -41,40 +40,11 @@ AhbPowerEstimator::AhbPowerEstimator(sim::Module* parent, std::string name,
     h_cycle_energy_ = &cfg_.metrics->histogram(
         "ahb.power.cycle_energy_pj", {0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0});
   }
-  // Sample at the falling edge: every value driven at the rising edge has
-  // settled by mid-cycle, so one sample sees the whole cycle's state.
-  proc_.sensitive(bus.clock().negedge_event()).dont_initialize();
+  bus.attach_observer(*this);
 }
 
-CycleView AhbPowerEstimator::sample_view() const {
-  const ahb::BusSignals& b = bus_.bus();
-  CycleView v;
-  v.haddr = b.haddr.read();
-  v.htrans = b.htrans.read();
-  v.hwrite = b.hwrite.read();
-  v.hsize = b.hsize.read();
-  v.hburst = b.hburst.read();
-  v.hwdata = b.hwdata.read();
-  v.hrdata = b.hrdata.read();
-  v.hready = b.hready.read();
-  v.hresp = b.hresp.read();
-  v.hmaster = b.hmaster.read();
-  v.hmaster_data = b.hmaster_data.read();
-  v.data_slave = bus_.pipeline().data_phase_slave().read();
-  v.data_active = bus_.pipeline().data_phase_active().read();
-  v.data_write = bus_.pipeline().data_phase_write().read();
-  // Request and grant vectors, assembled from the arbiter's attachments.
-  for (unsigned m = 0; m < bus_.n_masters(); ++m) {
-    if (bus_.hgrant(m).read()) v.grant_vector |= 1u << m;
-  }
-  v.req_vector = bus_.arbiter().request_vector();
-  v.split_vector = bus_.arbiter().split_mask();
-  return v;
-}
-
-void AhbPowerEstimator::on_cycle() {
+void AhbPowerEstimator::on_cycle(const CycleView& v) {
   if (!cfg_.enabled) return;
-  const CycleView v = sample_view();
   const PowerFsm::StepResult r = fsm_.step(v);
   if (txn_) txn_->on_cycle(v, r.blocks);
   if (windows_) {
@@ -121,7 +91,5 @@ std::optional<telemetry::TraceEventLog> AhbPowerEstimator::trace_events()
   }
   return log;
 }
-
-sim::Clock& AhbPowerEstimator::bus_clock() const { return bus_.clock(); }
 
 }  // namespace ahbp::power

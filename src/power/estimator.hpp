@@ -2,12 +2,13 @@
 // AhbPowerEstimator: the methodology's "local model" integration style
 // (Fig. 1) and the library's main power-analysis entry point.
 //
-// A single monitor process is added beside the functional bus model; it
-// samples the settled bus signals once per cycle, feeds the power FSM,
-// and (optionally) builds windowed power telemetry. The functional model
-// is untouched, and when disabled the monitor costs one virtual call per
-// cycle -- the executable-specification equivalent of compiling without
-// the paper's POWERTEST define is simply not constructing the estimator.
+// The estimator is one observer on the bus's per-cycle sampler (see
+// AhbBus::attach_observer): each cycle it receives the settled-cycle
+// view, feeds the power FSM, and (optionally) builds windowed power
+// telemetry. The functional model is untouched, and when disabled the
+// estimator costs one virtual call per cycle -- the executable-
+// specification equivalent of compiling without the paper's POWERTEST
+// define is simply not constructing the estimator.
 //
 // Observability: with `telemetry_window_cycles` set, every sampled cycle
 // publishes its per-block energy into a cycle-windowed
@@ -29,7 +30,6 @@
 #include "power/attribution.hpp"
 #include "power/power_fsm.hpp"
 #include "sim/module.hpp"
-#include "sim/process.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/window.hpp"
@@ -46,12 +46,12 @@ struct ModeRun {
 };
 static_assert(std::is_trivially_copyable_v<ModeRun>);
 
-/// Samples a finalized AhbBus once per cycle and runs the power FSM.
-class AhbPowerEstimator : public sim::Module {
+/// Observes a finalized AhbBus once per cycle and runs the power FSM.
+class AhbPowerEstimator : public sim::Module, public ahb::CycleObserver {
 public:
   struct Config {
     gate::Technology tech = gate::Technology::default_2003();
-    /// Runtime bypass: when false, sampling returns immediately.
+    /// Runtime bypass: when false, on_cycle() returns immediately.
     bool enabled = true;
     /// Window (in sampled bus cycles) for the power-vs-time series
     /// (Figs. 3-5) and the bus-instruction trace events; zero disables
@@ -102,17 +102,15 @@ public:
   void set_enabled(bool on) { cfg_.enabled = on; }
   [[nodiscard]] bool enabled() const { return cfg_.enabled; }
 
-  /// Builds the current settled-cycle view (also used by the other
-  /// integration styles and by tests).
-  [[nodiscard]] CycleView sample_view() const;
+  /// The monitored bus's current view (AhbBus::sample_view()).
+  [[nodiscard]] CycleView sample_view() const { return bus_.sample_view(); }
+  /// The monitored bus (downstream observers like PowerGovernor attach
+  /// to its sampler after the estimator).
+  [[nodiscard]] ahb::AhbBus& bus() const { return bus_; }
 
-  /// The clock of the monitored bus (used by downstream observers like
-  /// PowerGovernor to align their sampling).
-  [[nodiscard]] sim::Clock& bus_clock() const;
+  void on_cycle(const CycleView& v) override;
 
 private:
-  void on_cycle();
-
   ahb::AhbBus& bus_;
   Config cfg_;
   PowerFsm fsm_;
@@ -125,7 +123,6 @@ private:
   bool run_open_ = false;
   bool metrics_published_ = false;
   telemetry::Histogram* h_cycle_energy_ = nullptr;
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::power

@@ -12,13 +12,14 @@
 
 #include "power/estimator.hpp"
 #include "sim/module.hpp"
-#include "sim/process.hpp"
 #include "sim/signal.hpp"
 
 namespace ahbp::power {
 
-/// Watches windowed bus power and throttles cooperative masters.
-class PowerGovernor : public sim::Module {
+/// Watches windowed bus power and throttles cooperative masters. It
+/// observes the estimator's bus, attached after the estimator, so each
+/// cycle it reads energy that already includes that cycle.
+class PowerGovernor : public sim::Module, public ahb::CycleObserver {
 public:
   struct Config {
     double budget_watts = 1e-3;  ///< windowed average power ceiling
@@ -41,9 +42,9 @@ public:
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
 
-private:
-  void on_cycle();
+  void on_cycle(const CycleView& v) override;
 
+private:
   AhbPowerEstimator& est_;
   Config cfg_;
   Stats stats_;
@@ -51,7 +52,6 @@ private:
   double window_start_energy_ = 0.0;
   unsigned cycles_in_window_ = 0;
   double power_sum_ = 0.0;
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::power

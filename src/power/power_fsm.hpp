@@ -15,6 +15,7 @@
 #include <string>
 #include <string_view>
 
+#include "ahb/cycle_view.hpp"
 #include "gate/tech.hpp"
 #include "power/activity.hpp"
 #include "power/macromodel.hpp"
@@ -50,30 +51,9 @@ struct BlockEnergy {
   }
 };
 
-/// One cycle's settled bus values, as sampled by the instrumentation.
-struct CycleView {
-  std::uint32_t haddr = 0;
-  std::uint8_t htrans = 0;
-  bool hwrite = false;
-  std::uint8_t hsize = 0;
-  std::uint8_t hburst = 0;
-  std::uint32_t hwdata = 0;
-  std::uint32_t hrdata = 0;
-  bool hready = true;
-  std::uint8_t hresp = 0;
-  std::uint8_t hmaster = 0;
-  std::uint8_t hmaster_data = 0;  ///< data-phase bus owner
-  std::uint8_t data_slave = 0xFF;
-  bool data_active = false;
-  bool data_write = false;
-  std::uint32_t req_vector = 0;    ///< HBUSREQx, bit per master
-  std::uint32_t grant_vector = 0;  ///< HGRANTx, bit per master
-  /// Split-masked masters (arbiter HSPLITx mask, bit per master). A
-  /// masked master's pending request is *not* arbitration work -- the
-  /// arbiter ignores it until resume -- so it must not classify the
-  /// cycle as IDLE_HO.
-  std::uint32_t split_vector = 0;
-};
+/// One cycle's settled bus values; defined beside the bus sampler that
+/// builds it.
+using CycleView = ahb::CycleView;
 
 /// The instruction-level power model of the AHB bus.
 ///

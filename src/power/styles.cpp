@@ -108,51 +108,10 @@ void PrivatePowerModel::on_arbiter_event() {
 }
 
 // ---------------------------------------------------------------------------
-// BusActivityProbe
-
-BusActivityProbe::BusActivityProbe(sim::Module* parent, std::string name,
-                                   ahb::AhbBus& bus, PowerReportIf& sink)
-    : Module(parent, std::move(name)),
-      bus_(bus),
-      sink_(sink),
-      proc_(this, "probe", [this] { on_cycle(); }) {
-  if (!bus.finalized()) {
-    throw SimError("BusActivityProbe: bus must be finalized first");
-  }
-  proc_.sensitive(bus.clock().negedge_event()).dont_initialize();
-}
-
-void BusActivityProbe::on_cycle() {
-  const ahb::BusSignals& b = bus_.bus();
-  CycleView v;
-  v.haddr = b.haddr.read();
-  v.htrans = b.htrans.read();
-  v.hwrite = b.hwrite.read();
-  v.hsize = b.hsize.read();
-  v.hburst = b.hburst.read();
-  v.hwdata = b.hwdata.read();
-  v.hrdata = b.hrdata.read();
-  v.hready = b.hready.read();
-  v.hresp = b.hresp.read();
-  v.hmaster = b.hmaster.read();
-  v.data_slave = bus_.pipeline().data_phase_slave().read();
-  v.data_active = bus_.pipeline().data_phase_active().read();
-  v.data_write = bus_.pipeline().data_phase_write().read();
-  for (unsigned m = 0; m < bus_.n_masters(); ++m) {
-    if (bus_.hgrant(m).read()) v.grant_vector |= 1u << m;
-  }
-  v.req_vector = bus_.arbiter().request_vector();
-  sink_.post_cycle(v);
-  ++posted_;
-}
-
-// ---------------------------------------------------------------------------
 // GlobalPowerAnalyzer
 
 GlobalPowerAnalyzer::GlobalPowerAnalyzer(sim::Module* parent, std::string name,
                                          PowerFsm::Config cfg)
     : Module(parent, std::move(name)), fsm_(cfg) {}
-
-void GlobalPowerAnalyzer::post_cycle(const CycleView& view) { fsm_.step(view); }
 
 }  // namespace ahbp::power

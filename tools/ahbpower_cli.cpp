@@ -703,6 +703,21 @@ int main(int argc, char** argv) {
         o.txn_trace ? ", txns.csv, txns.json, txn_trace.json" : "",
         static_cast<unsigned long long>(o.window_cycles));
   }
+  // Files first: --quiet silences the reports, never an output file.
+  if (!o.csv.empty()) {
+    emit_or_die(
+        [&] { telemetry::write_window_csv_file(o.csv, *est.windows(), meta); });
+    std::printf("power trace written to %s\n", o.csv.c_str());
+  }
+  if (recorder) {
+    emit_or_die([&] {
+      telemetry::AtomicFile file(o.trace_out);
+      recorder->trace().save(file.stream());
+      file.commit();
+    });
+    std::printf("transaction trace (%zu transfers) written to %s\n",
+                recorder->trace().size(), o.trace_out.c_str());
+  }
   if (o.quiet) return 0;
 
   if (o.table) {
@@ -723,20 +738,6 @@ int main(int argc, char** argv) {
   if (o.activity) {
     std::putchar('\n');
     std::fputs(power::format_activity_report(est.fsm().activity()).c_str(), stdout);
-  }
-  if (!o.csv.empty()) {
-    emit_or_die(
-        [&] { telemetry::write_window_csv_file(o.csv, *est.windows(), meta); });
-    std::printf("\npower trace written to %s\n", o.csv.c_str());
-  }
-  if (recorder) {
-    emit_or_die([&] {
-      telemetry::AtomicFile file(o.trace_out);
-      recorder->trace().save(file.stream());
-      file.commit();
-    });
-    std::printf("transaction trace (%zu transfers) written to %s\n",
-                recorder->trace().size(), o.trace_out.c_str());
   }
   return 0;
 }
