@@ -4,7 +4,8 @@
 //   AhbBus                        -- fabric top (arbiter/decoder/muxes)
 //   TrafficMaster, DefaultMaster,
 //   ScriptedMaster                -- masters
-//   MemorySlave, DefaultSlave     -- slaves
+//   AhbSlave                      -- the one slave response machine
+//   MemorySlave, DefaultSlave     -- slaves (faults: MemorySlave's FaultHook)
 //   BusMonitor                    -- protocol checker + statistics
 //   CycleView, CycleObserver      -- the per-cycle sampler's protocol
 

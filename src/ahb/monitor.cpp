@@ -53,14 +53,15 @@ std::uint32_t check_rules(const CycleView& prev, const CycleView& cur,
             cur.hwrite != prev.hwrite));
   // SEQ and BUSY only continue a burst. A SEQ beat following an accepted
   // beat continues the burst's address pattern; a SEQ after BUSY carries
-  // the address the BUSY beat already showed.
+  // the address the BUSY beat already showed. A SEQ after IDLE has no
+  // burst to break: it is reported once, as SEQ after IDLE.
   rule(kRuleSeqAfterIdle, htrans == Trans::kSeq && prev_htrans == Trans::kIdle);
-  if (htrans == Trans::kSeq && prev.hready) {
-    std::uint32_t expected = prev.haddr;
-    if (prev_htrans == Trans::kNonSeq || prev_htrans == Trans::kSeq) {
-      expected = next_burst_addr(prev.haddr, static_cast<Burst>(prev.hburst),
-                                 static_cast<Size>(prev.hsize));
-    }
+  if (htrans == Trans::kSeq && prev.hready && prev_htrans != Trans::kIdle) {
+    const std::uint32_t expected =
+        prev_htrans == Trans::kBusy
+            ? prev.haddr
+            : next_burst_addr(prev.haddr, static_cast<Burst>(prev.hburst),
+                              static_cast<Size>(prev.hsize));
     rule(kRuleSeqBreaksBurst, cur.haddr != expected);
   }
   rule(kRuleBusyOutsideBurst,

@@ -1,5 +1,7 @@
 #include "ahb/slave.hpp"
 
+#include <algorithm>
+
 #include "ahb/bus.hpp"
 #include "sim/report.hpp"
 
@@ -7,33 +9,17 @@ namespace ahbp::ahb {
 
 using sim::SimError;
 
-namespace {
-
-/// Counts down outstanding HSPLITx resumes, unmasking each master at the
-/// arbiter when its countdown expires. Order within a cycle is
-/// irrelevant: resumes only toggle independent mask bits.
-void tick_resumes(std::vector<std::pair<unsigned, unsigned>>& pending,
-                  Arbiter& arb) {
-  for (std::size_t i = 0; i < pending.size();) {
-    if (--pending[i].second == 0) {
-      arb.resume(pending[i].first);
-      pending[i] = pending.back();
-      pending.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // AhbSlave
 
 AhbSlave::AhbSlave(sim::Module* parent, std::string name, AhbBus& bus,
                    std::uint32_t base, std::uint32_t size)
-    : Module(parent, std::move(name)), bus_(bus), sig_(this, "out") {
+    : Module(parent, std::move(name)),
+      bus_(bus),
+      sig_(this, "out"),
+      proc_(this, "clocked", [this] { on_clock(); }) {
   index_ = bus_.attach_slave(sig_, AddressRange{base, size});
+  proc_.sensitive(clock().posedge_event()).dont_initialize();
 }
 
 bool AhbSlave::selected() const { return bus_.hsel(index_).read(); }
@@ -42,18 +28,95 @@ BusSignals& AhbSlave::bus_signals() const { return bus_.bus(); }
 
 sim::Clock& AhbSlave::clock() const { return bus_.clock(); }
 
+FaultDecision AhbSlave::answer(const FaultQuery&) { return {}; }
+void AhbSlave::on_wait(unsigned) {}
+void AhbSlave::supply() {}
+void AhbSlave::commit() {}
+
+void AhbSlave::ready() {
+  supply();
+  sig_.hreadyout.write(true);
+  phase_ = Phase::kData;
+}
+
+void AhbSlave::on_clock() {
+  BusSignals& bus = bus_signals();
+
+  // Count down outstanding SPLIT resumes, unmasking each master at the
+  // arbiter when its countdown expires. Order within a cycle is
+  // irrelevant: resumes only toggle independent mask bits.
+  for (std::size_t i = 0; i < pending_resumes_.size();) {
+    if (--pending_resumes_[i].second == 0) {
+      bus_.arbiter().resume(pending_resumes_[i].first);
+      pending_resumes_[i] = pending_resumes_.back();
+      pending_resumes_.pop_back();
+    } else {
+      ++i;
+    }
+  }
+
+  switch (phase_) {
+    case Phase::kIdle:
+      break;
+    case Phase::kWait:
+      on_wait(--waits_left_);
+      if (waits_left_ == 0) ready();
+      return;  // cannot accept a new address phase while stalled
+    case Phase::kData:
+      commit();
+      phase_ = Phase::kIdle;
+      break;
+    case Phase::kResp1:
+      // First response cycle (HREADY low, HRESP set) done: raise HREADY.
+      sig_.hreadyout.write(true);
+      phase_ = Phase::kResp2;
+      return;  // cannot accept a new address phase mid-response
+    case Phase::kResp2:
+      // Second response cycle done: back to OKAY, ready for a transfer.
+      sig_.hresp.write(raw(Resp::kOkay));
+      phase_ = Phase::kIdle;
+      break;
+  }
+
+  // Accept the address phase that was on the bus during the cycle that
+  // just ended (only valid if the bus was ready).
+  const auto htrans = static_cast<Trans>(bus.htrans.read());
+  if (!(selected() && is_active(htrans) && bus.hready.read())) return;
+
+  // HMASTER still carries the owner that issued this address phase
+  // (settled value from the cycle that just ended).
+  const FaultQuery t{.transfer_index = transfer_index_++,
+                     .write = bus.hwrite.read(),
+                     .addr = bus.haddr.read(),
+                     .htrans = htrans,
+                     .master = bus.hmaster.read()};
+  const FaultDecision d = answer(t);
+  if (d.resp != Resp::kOkay) {
+    if (d.resp == Resp::kSplit) {
+      bus_.arbiter().split(t.master);
+      pending_resumes_.emplace_back(t.master, std::max(d.split_resume_cycles, 1u));
+    }
+    sig_.hresp.write(raw(d.resp));
+    sig_.hreadyout.write(false);
+    phase_ = Phase::kResp1;
+  } else if (d.extra_waits == 0) {
+    ready();
+  } else {
+    waits_left_ = d.extra_waits;
+    sig_.hreadyout.write(false);
+    phase_ = Phase::kWait;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MemorySlave
 
 MemorySlave::MemorySlave(sim::Module* parent, std::string name, AhbBus& bus,
                          Config cfg)
-    : AhbSlave(parent, std::move(name), bus, cfg.base, cfg.size),
-      cfg_(cfg),
-      proc_(this, "clocked", [this] { on_clock(); }) {
+    : AhbSlave(parent, std::move(name), bus, cfg.base, cfg.size), cfg_(cfg) {
   if (cfg_.size == 0 || cfg_.size % 4 != 0) {
     throw SimError("MemorySlave: size must be a positive multiple of 4");
   }
-  proc_.sensitive(clock().posedge_event()).dont_initialize();
 }
 
 std::uint32_t MemorySlave::peek(std::uint32_t addr) const {
@@ -65,194 +128,41 @@ void MemorySlave::poke(std::uint32_t addr, std::uint32_t value) {
   mem_[addr / 4] = value;
 }
 
-void MemorySlave::on_clock() {
-  BusSignals& bus = bus_signals();
-
-  // 0. Progress outstanding SPLIT resumes and a two-cycle fault response.
-  if (!pending_resumes_.empty()) tick_resumes(pending_resumes_, bus_.arbiter());
-  if (resp_phase_ == RespPhase::kFail1) {
-    // First failure cycle (HREADY low, HRESP set) done: raise HREADY.
-    sig_.hreadyout.write(true);
-    resp_phase_ = RespPhase::kFail2;
-    return;  // cannot accept a new address phase mid-response
+FaultDecision MemorySlave::answer(const FaultQuery& t) {
+  op_write_ = t.write;
+  op_addr_ = t.addr - cfg_.base;
+  FaultDecision d = cfg_.fault_hook ? cfg_.fault_hook(t) : FaultDecision{};
+  switch (d.resp) {
+    case Resp::kOkay:
+      stats_.jitter_cycles += d.extra_waits;
+      d.extra_waits += cfg_.wait_states;
+      break;
+    case Resp::kRetry:
+      ++stats_.retries;
+      break;
+    case Resp::kError:
+      ++stats_.errors;
+      break;
+    case Resp::kSplit:
+      ++stats_.splits;
+      break;
   }
-  if (resp_phase_ == RespPhase::kFail2) {
-    // Second failure cycle done: back to OKAY, ready for a new transfer.
-    sig_.hresp.write(raw(Resp::kOkay));
-    resp_phase_ = RespPhase::kNone;
-  }
+  return d;
+}
 
-  // 1. Complete a data phase that we signalled ready for: a write
-  //    captures HWDATA, which the master drove during the cycle that just
-  //    ended.
-  if (busy_ && completing_) {
-    if (op_write_) {
-      mem_[(op_addr_ - cfg_.base) / 4] = bus.hwdata.read();
-      ++stats_.writes;
-    } else {
-      ++stats_.reads;
-    }
-    busy_ = false;
-    completing_ = false;
-  }
+void MemorySlave::on_wait(unsigned) { ++stats_.wait_cycles; }
 
-  // 2. Progress wait states of an in-flight data phase.
-  if (busy_ && !completing_) {
-    ++stats_.wait_cycles;
-    if (--waits_left_ == 0) {
-      if (!op_write_) sig_.hrdata.write(peek(op_addr_ - cfg_.base));
-      sig_.hreadyout.write(true);
-      completing_ = true;
-    }
-    return;  // cannot accept a new address phase while stalled
-  }
+void MemorySlave::supply() {
+  if (!op_write_) sig_.hrdata.write(peek(op_addr_));
+}
 
-  // 3. Accept the address phase that was on the bus during the cycle
-  //    that just ended (only valid if the bus was ready).
-  const bool accept = selected() &&
-                      is_active(static_cast<Trans>(bus.htrans.read())) &&
-                      bus.hready.read();
-  if (!accept) return;
-
-  op_write_ = bus.hwrite.read();
-  op_addr_ = bus.haddr.read();
-
-  // 3a. Consult the fault hook: a non-OKAY verdict turns this transfer
-  //     into a two-cycle protocol response instead of a data phase.
-  FaultDecision fault;
-  if (cfg_.fault_hook) {
-    FaultQuery q;
-    q.transfer_index = transfer_index_;
-    q.write = op_write_;
-    q.addr = op_addr_;
-    q.htrans = static_cast<Trans>(bus.htrans.read());
-    // HMASTER still carries the owner that issued this address phase
-    // (settled value from the cycle that just ended).
-    q.master = bus.hmaster.read();
-    fault = cfg_.fault_hook(q);
-  }
-  ++transfer_index_;
-  if (fault.resp != Resp::kOkay) {
-    switch (fault.resp) {
-      case Resp::kRetry:
-        ++stats_.retries;
-        break;
-      case Resp::kError:
-        ++stats_.errors;
-        break;
-      case Resp::kSplit: {
-        const unsigned m = bus.hmaster.read();
-        bus_.arbiter().split(m);
-        const unsigned resume = fault.split_resume_cycles == 0
-                                    ? 1u
-                                    : fault.split_resume_cycles;
-        pending_resumes_.emplace_back(m, resume);
-        ++stats_.splits;
-        break;
-      }
-      case Resp::kOkay:
-        break;
-    }
-    sig_.hresp.write(raw(fault.resp));
-    sig_.hreadyout.write(false);
-    resp_phase_ = RespPhase::kFail1;
-    return;
-  }
-
-  busy_ = true;
-  const unsigned waits = cfg_.wait_states + fault.extra_waits;
-  stats_.jitter_cycles += fault.extra_waits;
-  if (waits == 0) {
-    if (!op_write_) sig_.hrdata.write(peek(op_addr_ - cfg_.base));
-    sig_.hreadyout.write(true);  // already true, but keep the intent clear
-    completing_ = true;
+void MemorySlave::commit() {
+  // HWDATA was driven by the master during the cycle that just ended.
+  if (op_write_) {
+    poke(op_addr_, bus_signals().hwdata.read());
+    ++stats_.writes;
   } else {
-    waits_left_ = waits;
-    sig_.hreadyout.write(false);
-    completing_ = false;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FaultySlave
-
-FaultySlave::FaultySlave(sim::Module* parent, std::string name, AhbBus& bus,
-                         Config cfg)
-    : AhbSlave(parent, std::move(name), bus, cfg.base, cfg.size),
-      cfg_(cfg),
-      proc_(this, "clocked", [this] { on_clock(); }) {
-  if (cfg_.size == 0 || cfg_.size % 4 != 0) {
-    throw SimError("FaultySlave: size must be a positive multiple of 4");
-  }
-  if (cfg_.fail_every_n == 0) throw SimError("FaultySlave: fail_every_n must be > 0");
-  if (cfg_.failure != Resp::kRetry && cfg_.failure != Resp::kError &&
-      cfg_.failure != Resp::kSplit) {
-    throw SimError("FaultySlave: failure response must be RETRY, ERROR or SPLIT");
-  }
-  if (cfg_.failure == Resp::kSplit && cfg_.split_resume_cycles == 0) {
-    throw SimError("FaultySlave: split_resume_cycles must be > 0");
-  }
-  proc_.sensitive(clock().posedge_event()).dont_initialize();
-}
-
-std::uint32_t FaultySlave::peek(std::uint32_t addr) const {
-  const auto it = mem_.find(addr / 4);
-  return it == mem_.end() ? 0 : it->second;
-}
-
-void FaultySlave::on_clock() {
-  BusSignals& bus = bus_signals();
-
-  if (!pending_resumes_.empty()) tick_resumes(pending_resumes_, bus_.arbiter());
-
-  switch (phase_) {
-    case Phase::kData:
-      // Successful data phase ended at this edge: commit the operation.
-      if (op_write_) {
-        mem_[(op_addr_ - cfg_.base) / 4] = bus.hwdata.read();
-        ++stats_.ok_writes;
-      } else {
-        ++stats_.ok_reads;
-      }
-      phase_ = Phase::kIdle;
-      break;
-    case Phase::kFail1:
-      // First failure cycle (HREADY low, HRESP set) done: raise HREADY.
-      sig_.hreadyout.write(true);
-      phase_ = Phase::kFail2;
-      return;  // cannot accept a new address phase mid-response
-    case Phase::kFail2:
-      // Second failure cycle done: back to OKAY.
-      sig_.hresp.write(raw(Resp::kOkay));
-      ++stats_.failures;
-      phase_ = Phase::kIdle;
-      break;
-    case Phase::kIdle:
-      break;
-  }
-
-  const bool accept = selected() &&
-                      is_active(static_cast<Trans>(bus.htrans.read())) &&
-                      bus.hready.read();
-  if (!accept) return;
-
-  ++accepted_;
-  op_write_ = bus.hwrite.read();
-  op_addr_ = bus.haddr.read();
-  if (accepted_ % cfg_.fail_every_n == 0) {
-    if (cfg_.failure == Resp::kSplit) {
-      // Mask the owner that issued this address phase; schedule the
-      // HSPLITx resume.
-      const unsigned m = bus.hmaster.read();
-      bus_.arbiter().split(m);
-      pending_resumes_.emplace_back(m, cfg_.split_resume_cycles);
-    }
-    sig_.hresp.write(raw(cfg_.failure));
-    sig_.hreadyout.write(false);
-    phase_ = Phase::kFail1;
-  } else {
-    if (!op_write_) sig_.hrdata.write(peek(op_addr_ - cfg_.base));
-    phase_ = Phase::kData;
+    ++stats_.reads;
   }
 }
 
@@ -260,37 +170,11 @@ void FaultySlave::on_clock() {
 // DefaultSlave
 
 DefaultSlave::DefaultSlave(sim::Module* parent, std::string name, AhbBus& bus)
-    : AhbSlave(parent, std::move(name), bus, 0, 0),
-      proc_(this, "clocked", [this] { on_clock(); }) {
-  proc_.sensitive(clock().posedge_event()).dont_initialize();
-}
+    : AhbSlave(parent, std::move(name), bus, 0, 0) {}
 
-void DefaultSlave::on_clock() {
-  BusSignals& bus = bus_signals();
-
-  if (completing_) {
-    // Second ERROR cycle done; back to the reset response.
-    sig_.hresp.write(raw(Resp::kOkay));
-    completing_ = false;
-    return;
-  }
-  if (erroring_) {
-    // First ERROR cycle (HREADY low) done; raise HREADY, keep ERROR.
-    sig_.hreadyout.write(true);
-    erroring_ = false;
-    completing_ = true;
-    return;
-  }
-
-  // An active transfer decoded into unmapped space: two-cycle ERROR.
-  const bool hit = selected() && is_active(static_cast<Trans>(bus.htrans.read())) &&
-                   bus.hready.read();
-  if (hit) {
-    ++errors_;
-    sig_.hresp.write(raw(Resp::kError));
-    sig_.hreadyout.write(false);
-    erroring_ = true;
-  }
+FaultDecision DefaultSlave::answer(const FaultQuery&) {
+  ++errors_;
+  return {.resp = Resp::kError};
 }
 
 }  // namespace ahbp::ahb

@@ -1,7 +1,9 @@
 #pragma once
-// AHB slaves: abstract base, memory slave with configurable wait states,
-// and the default slave (OKAY to IDLE/BUSY, ERROR to real transfers into
-// unmapped space).
+// AHB slaves: the base class that runs every slave's response machine
+// (accept, wait states, two-cycle RETRY/ERROR/SPLIT, HSPLITx resume), the
+// memory slave with configurable wait states and an optional fault hook,
+// and the default slave (ERROR to every active transfer into unmapped
+// space).
 
 #include <cstdint>
 #include <functional>
@@ -18,16 +20,17 @@ namespace ahbp::ahb {
 
 class AhbBus;
 
-/// Per-transfer fault verdict returned by a FaultHook (see
-/// MemorySlave::Config::fault_hook). The default is a clean transfer.
-/// The ahb layer stays ignorant of fault *scheduling*; src/fault/ builds
-/// deterministic seed-driven hooks on top of this interface.
+/// How a slave answers one accepted transfer: returned by a FaultHook
+/// (see MemorySlave::Config::fault_hook) and by AhbSlave::answer(). The
+/// default is a clean transfer. The ahb layer stays ignorant of fault
+/// *scheduling*; src/fault/ builds deterministic seed-driven hooks on top
+/// of this interface.
 struct FaultDecision {
   /// kOkay = complete normally; kRetry/kError/kSplit = two-cycle
   /// protocol response of that kind instead of completing.
   Resp resp = Resp::kOkay;
-  /// Additional wait states injected into this transfer's data phase
-  /// (added to the slave's configured wait_states; OKAY responses only).
+  /// Wait states of this transfer's data phase, OKAY responses only. A
+  /// MemorySlave adds its configured wait_states to a hook's.
   unsigned extra_waits = 0;
   /// For kSplit: clock cycles after the SPLIT response until the slave
   /// signals resume (HSPLITx) and the arbiter unmasks the master.
@@ -35,8 +38,8 @@ struct FaultDecision {
   unsigned split_resume_cycles = 4;
 };
 
-/// Everything a FaultHook may condition its verdict on, sampled at the
-/// accept edge of the transfer.
+/// One accepted transfer as sampled at its accept edge: everything an
+/// answer (and so a FaultHook) may condition its verdict on.
 struct FaultQuery {
   std::uint64_t transfer_index = 0;  ///< slave-local accept counter
   bool write = false;
@@ -48,8 +51,21 @@ struct FaultQuery {
 /// Decides the fate of one accepted transfer.
 using FaultHook = std::function<FaultDecision(const FaultQuery&)>;
 
-/// Base class for bus slaves: owns the response bundle and the
-/// attachment (address range) on the bus.
+/// Base class for bus slaves, and the one slave response machine.
+///
+/// Owns the response bundle, the attachment (address range) on the bus
+/// and one posedge process that every slave shares. At a ready edge it
+/// accepts the address phase a selected slave sees, asks the subclass
+/// for its answer() and then drives the protocol:
+///  - OKAY: HREADYOUT stays low for `extra_waits` wait states (on_wait()
+///    at the end of each), rises with the read data (supply()), and the
+///    data phase completes at the next edge (commit(), HWDATA valid);
+///  - RETRY/ERROR/SPLIT: the two-cycle response, HREADYOUT low with HRESP
+///    set and then high; HRESP returns to OKAY at the following edge,
+///    which may accept a new transfer. SPLIT masks the address-phase owner
+///    at the arbiter and resumes it (HSPLITx) `split_resume_cycles` later.
+/// A subclass only answers accepted transfers and supplies or commits
+/// their data; the default answers every transfer with a zero-wait OKAY.
 class AhbSlave : public sim::Module {
 public:
   /// Attaches to `bus` at [base, base+size). A size of 0 creates an
@@ -61,6 +77,16 @@ public:
   [[nodiscard]] unsigned index() const { return index_; }
 
 protected:
+  /// Answers the transfer accepted at this edge. For OKAY, `extra_waits`
+  /// is every wait state of its data phase.
+  virtual FaultDecision answer(const FaultQuery& t);
+  /// At the edge ending a wait state, with `left` wait states to go.
+  virtual void on_wait(unsigned left);
+  /// At the edge HREADYOUT rises for an OKAY data phase: drive HRDATA.
+  virtual void supply();
+  /// At the edge the OKAY data phase completes: HWDATA is valid.
+  virtual void commit();
+
   /// True when the decoder addresses this slave.
   [[nodiscard]] bool selected() const;
   [[nodiscard]] BusSignals& bus_signals() const;
@@ -69,6 +95,18 @@ protected:
   AhbBus& bus_;
   SlaveSignals sig_;
   unsigned index_;
+
+private:
+  void on_clock();
+  /// Raises HREADYOUT with the read data; the data phase ends next edge.
+  void ready();
+
+  enum class Phase { kIdle, kWait, kData, kResp1, kResp2 } phase_ = Phase::kIdle;
+  unsigned waits_left_ = 0;
+  std::uint64_t transfer_index_ = 0;
+  /// Outstanding HSPLITx resumes: {master index, cycles until resume}.
+  std::vector<std::pair<unsigned, unsigned>> pending_resumes_;
+  sim::Method proc_;
 };
 
 /// A word-wide memory slave.
@@ -79,9 +117,7 @@ protected:
 ///
 /// An optional FaultHook turns any memory slave into a fault injector:
 /// the hook is consulted once per accepted transfer and can demand a
-/// two-cycle RETRY/ERROR/SPLIT response or extra wait states. SPLIT
-/// responses mask the requesting master at the arbiter and schedule the
-/// HSPLITx resume `split_resume_cycles` later.
+/// two-cycle RETRY/ERROR/SPLIT response or extra wait states.
 class MemorySlave final : public AhbSlave {
 public:
   struct Config {
@@ -111,77 +147,20 @@ public:
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
 private:
-  void on_clock();
+  FaultDecision answer(const FaultQuery& t) override;
+  void on_wait(unsigned left) override;
+  void supply() override;
+  void commit() override;
 
   Config cfg_;
   Stats stats_;
   std::unordered_map<std::uint32_t, std::uint32_t> mem_;
-
-  // Data-phase state machine.
-  bool busy_ = false;        ///< a transfer's data phase is in flight
-  bool completing_ = false;  ///< HREADYOUT driven high, op finishes next edge
   bool op_write_ = false;
-  std::uint32_t op_addr_ = 0;
-  unsigned waits_left_ = 0;
-
-  // Two-cycle fault-response machine (mirrors FaultySlave's phases).
-  enum class RespPhase { kNone, kFail1, kFail2 } resp_phase_ = RespPhase::kNone;
-  std::uint64_t transfer_index_ = 0;
-  /// Outstanding HSPLITx resumes: {master index, cycles until resume}.
-  std::vector<std::pair<unsigned, unsigned>> pending_resumes_;
-
-  sim::Method proc_;
+  std::uint32_t op_addr_ = 0;  ///< slave-relative
 };
 
-/// A fault-injecting memory slave: behaves like a zero-wait MemorySlave
-/// except that every `fail_every_n`-th accepted transfer receives a
-/// two-cycle non-OKAY response (RETRY, ERROR or SPLIT) instead of
-/// completing. Failed transfers do not touch memory; the master is
-/// expected to re-issue RETRYed/SPLIT transfers (see
-/// ScriptedMaster::Options::retry). A SPLIT response masks the
-/// requesting master at the arbiter and resumes it (HSPLITx)
-/// `split_resume_cycles` later.
-class FaultySlave final : public AhbSlave {
-public:
-  struct Config {
-    std::uint32_t base = 0;
-    std::uint32_t size = 1024;
-    unsigned fail_every_n = 3;   ///< 1 = every transfer fails
-    Resp failure = Resp::kRetry; ///< kRetry, kError or kSplit
-    /// For kSplit: cycles from the SPLIT response to the HSPLITx resume.
-    unsigned split_resume_cycles = 4;
-  };
-
-  struct Stats {
-    std::uint64_t ok_reads = 0;
-    std::uint64_t ok_writes = 0;
-    std::uint64_t failures = 0;
-  };
-
-  FaultySlave(sim::Module* parent, std::string name, AhbBus& bus, Config cfg);
-
-  [[nodiscard]] std::uint32_t peek(std::uint32_t addr) const;
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
-private:
-  void on_clock();
-
-  Config cfg_;
-  Stats stats_;
-  std::unordered_map<std::uint32_t, std::uint32_t> mem_;
-  std::uint64_t accepted_ = 0;
-
-  enum class Phase { kIdle, kData, kFail1, kFail2 } phase_ = Phase::kIdle;
-  bool op_write_ = false;
-  std::uint32_t op_addr_ = 0;
-  /// Outstanding HSPLITx resumes: {master index, cycles until resume}.
-  std::vector<std::pair<unsigned, unsigned>> pending_resumes_;
-
-  sim::Method proc_;
-};
-
-/// The default slave: unmapped addresses land here. IDLE and BUSY get a
-/// zero-wait OKAY; NONSEQ/SEQ get the protocol's two-cycle ERROR.
+/// The default slave: unmapped addresses land here. Every active
+/// transfer gets the two-cycle ERROR; IDLE and BUSY see OKAY.
 class DefaultSlave final : public AhbSlave {
 public:
   DefaultSlave(sim::Module* parent, std::string name, AhbBus& bus);
@@ -189,12 +168,9 @@ public:
   [[nodiscard]] std::uint64_t error_count() const { return errors_; }
 
 private:
-  void on_clock();
+  FaultDecision answer(const FaultQuery& t) override;
 
-  bool erroring_ = false;  ///< in the first ERROR cycle
-  bool completing_ = false;
   std::uint64_t errors_ = 0;
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::ahb

@@ -11,12 +11,10 @@ AhbToApbBridge::AhbToApbBridge(sim::Module* parent, std::string name,
                                ahb::AhbBus& bus, Config cfg)
     : AhbSlave(parent, std::move(name), bus, cfg.base, cfg.size),
       cfg_(cfg),
-      apb_sig_(this, "apb"),
-      proc_(this, "clocked", [this] { on_clock(); }) {
+      apb_sig_(this, "apb") {
   if (cfg_.size == 0 || cfg_.size % 4 != 0) {
     throw SimError("AhbToApbBridge: size must be a positive multiple of 4");
   }
-  proc_.sensitive(clock().posedge_event()).dont_initialize();
 }
 
 unsigned AhbToApbBridge::attach(ApbSlaveSignals& s, std::uint32_t base,
@@ -51,81 +49,45 @@ unsigned AhbToApbBridge::decode(std::uint32_t apb_addr) const {
   return UINT32_MAX;
 }
 
-void AhbToApbBridge::on_clock() {
+ahb::FaultDecision AhbToApbBridge::answer(const ahb::FaultQuery& t) {
   if (!finalized_) throw SimError("bridge: ran without finalize()");
-  ahb::BusSignals& bus = bus_signals();
-
-  switch (phase_) {
-    case Phase::kIdle:
-      break;
-
-    case Phase::kSampleWdata:
-      // The AHB data phase settled during the last cycle: write data is
-      // now valid. Launch the APB SETUP cycle.
-      apb_sig_.paddr.write(op_addr_);
-      apb_sig_.pwrite.write(op_write_);
-      if (op_write_) apb_sig_.pwdata.write(bus.hwdata.read());
-      psel_[op_sel_]->write(true);
-      apb_sig_.penable.write(false);
-      phase_ = Phase::kSetup;
-      return;
-
-    case Phase::kSetup:
-      apb_sig_.penable.write(true);
-      phase_ = Phase::kEnable;
-      return;
-
-    case Phase::kEnable:
-      // The ENABLE cycle just completed: the peripheral committed a
-      // write / its read data settled. Finish the AHB side.
-      if (!op_write_) {
-        sig_.hrdata.write(peripherals_[op_sel_]->prdata.read());
-        ++stats_.apb_reads;
-      } else {
-        ++stats_.apb_writes;
-      }
-      psel_[op_sel_]->write(false);
-      apb_sig_.penable.write(false);
-      sig_.hreadyout.write(true);
-      phase_ = Phase::kComplete;
-      return;
-
-    case Phase::kComplete:
-      // AHB data phase completed at this edge; fall through to accept a
-      // pipelined next transfer.
-      phase_ = Phase::kIdle;
-      break;
-
-    case Phase::kError1:
-      sig_.hreadyout.write(true);
-      phase_ = Phase::kError2;
-      return;
-
-    case Phase::kError2:
-      sig_.hresp.write(ahb::raw(ahb::Resp::kOkay));
-      phase_ = Phase::kIdle;
-      break;
-  }
-
-  // Accept a new AHB address phase.
-  const bool accept = selected() &&
-                      is_active(static_cast<ahb::Trans>(bus.htrans.read())) &&
-                      bus.hready.read();
-  if (!accept) return;
-
-  op_write_ = bus.hwrite.read();
-  op_addr_ = bus.haddr.read() - cfg_.base;
+  op_write_ = t.write;
+  op_addr_ = t.addr - cfg_.base;
   op_sel_ = decode(op_addr_);
   if (op_sel_ == UINT32_MAX) {
     // Unmapped peripheral space: the protocol's two-cycle AHB ERROR.
     ++stats_.decode_errors;
-    sig_.hresp.write(ahb::raw(ahb::Resp::kError));
-    sig_.hreadyout.write(false);
-    phase_ = Phase::kError1;
-    return;
+    return {.resp = ahb::Resp::kError};
   }
-  sig_.hreadyout.write(false);
-  phase_ = Phase::kSampleWdata;
+  // One cycle for the AHB write data to settle, then SETUP and ENABLE.
+  return {.extra_waits = 3};
+}
+
+void AhbToApbBridge::on_wait(unsigned left) {
+  if (left == 2) {
+    // The AHB data phase settled during the last cycle: write data is
+    // now valid. Launch the APB SETUP cycle.
+    apb_sig_.paddr.write(op_addr_);
+    apb_sig_.pwrite.write(op_write_);
+    if (op_write_) apb_sig_.pwdata.write(bus_signals().hwdata.read());
+    psel_[op_sel_]->write(true);
+    apb_sig_.penable.write(false);
+  } else if (left == 1) {
+    apb_sig_.penable.write(true);  // the APB ENABLE cycle
+  }
+}
+
+void AhbToApbBridge::supply() {
+  // The ENABLE cycle just completed: the peripheral committed a write /
+  // its read data settled. Finish the AHB side.
+  if (!op_write_) {
+    sig_.hrdata.write(peripherals_[op_sel_]->prdata.read());
+    ++stats_.apb_reads;
+  } else {
+    ++stats_.apb_writes;
+  }
+  psel_[op_sel_]->write(false);
+  apb_sig_.penable.write(false);
 }
 
 }  // namespace ahbp::apb

@@ -6,8 +6,9 @@
 // located").
 //
 // The bridge is an AHB slave; each accepted AHB transfer is converted
-// into one APB access (SETUP + ENABLE), stalling HREADY for the four
-// cycles the conversion takes.
+// into one APB access (SETUP + ENABLE), stalling HREADY for the three
+// wait states the conversion takes. The AhbSlave base runs the AHB side,
+// including the two-cycle ERROR for unmapped APB addresses.
 
 #include <cstdint>
 #include <memory>
@@ -17,7 +18,6 @@
 #include "ahb/decoder.hpp"
 #include "ahb/slave.hpp"
 #include "apb/signals.hpp"
-#include "sim/process.hpp"
 
 namespace ahbp::apb {
 
@@ -67,7 +67,9 @@ public:
   ///@}
 
 private:
-  void on_clock();
+  ahb::FaultDecision answer(const ahb::FaultQuery& t) override;
+  void on_wait(unsigned left) override;
+  void supply() override;
   /// APB-relative decode; returns peripheral index or UINT_MAX.
   [[nodiscard]] unsigned decode(std::uint32_t apb_addr) const;
 
@@ -79,21 +81,9 @@ private:
   std::vector<std::unique_ptr<sim::Signal<bool>>> psel_;
   bool finalized_ = false;
 
-  enum class Phase {
-    kIdle,
-    kSampleWdata,  ///< wait one cycle for the AHB data phase to settle
-    kSetup,        ///< APB SETUP cycle in progress
-    kEnable,       ///< APB ENABLE cycle in progress
-    kComplete,     ///< HREADY raised; AHB data phase finishing
-    kError1,       ///< first cycle of an AHB ERROR response (HREADY low)
-    kError2,       ///< second cycle of an AHB ERROR response (HREADY high)
-  } phase_ = Phase::kIdle;
-
   bool op_write_ = false;
   std::uint32_t op_addr_ = 0;  ///< APB-relative address
   unsigned op_sel_ = 0;
-
-  sim::Method proc_;
 };
 
 }  // namespace ahbp::apb

@@ -1,5 +1,6 @@
-// Fault-injection tests: RETRY/ERROR responses from a faulty slave, the
-// scripted master's retry machinery, and system behaviour around the
+// Fault-injection tests: RETRY/ERROR/SPLIT responses from a faulty slave
+// (the FaultySlave suite: a MemorySlave under the every-Nth cadence hook
+// test::fail_every), the scripted master's retry machinery, and the
 // default slave's error responses.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@ namespace {
 
 using sim::SimError;
 using test::Bench;
+using test::fail_every;
 using Op = ScriptedMaster::Op;
 
 Op write_op(std::uint32_t addr, std::uint32_t data) {
@@ -22,19 +24,12 @@ Op read_op(std::uint32_t addr) { return Op{Op::Kind::kRead, addr, 0, 0}; }
 
 TEST(FaultySlave, RejectsBadConfigs) {
   Bench b;
-  EXPECT_THROW(FaultySlave(&b.top, "f1", b.bus, {.size = 6}), SimError);
-  EXPECT_THROW(FaultySlave(&b.top, "f2", b.bus, {.fail_every_n = 0}), SimError);
-  EXPECT_THROW(FaultySlave(&b.top, "f3", b.bus, {.failure = Resp::kOkay}),
-               SimError);
-  // kSplit is a legal failure mode now, but needs a resume delay.
-  EXPECT_THROW(FaultySlave(&b.top, "f4", b.bus,
-                           {.failure = Resp::kSplit, .split_resume_cycles = 0}),
-               SimError);
-  // kSplit with the default resume delay is accepted.  (A fresh address
-  // range: the throwing constructors above already claimed the default
-  // one in the decoder before their config checks fired.)
-  EXPECT_NO_THROW(FaultySlave(&b.top, "f5", b.bus,
-                              {.base = 0x4000, .failure = Resp::kSplit}));
+  EXPECT_THROW(MemorySlave(&b.top, "f1", b.bus, {.size = 6}), SimError);
+  // A SPLIT cadence with the default resume delay is accepted.  (A fresh
+  // address range: the throwing constructor above already claimed the
+  // default one in the decoder before its config check fired.)
+  EXPECT_NO_THROW(MemorySlave(&b.top, "f5", b.bus,
+                              {.base = 0x4000, .fault_hook = fail_every(1, Resp::kSplit)}));
 }
 
 TEST(FaultySlave, RetryResponseReachesMaster) {
@@ -43,15 +38,15 @@ TEST(FaultySlave, RetryResponseReachesMaster) {
   // Every transfer fails -> a non-retrying master records the RETRY.
   ScriptedMaster m(&b.top, "m", b.bus, {write_op(0x10, 1)},
                    ScriptedMaster::Options{.retry = false});
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0, .size = 0x1000, .fail_every_n = 1});
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = fail_every(1)});
   b.bus.finalize();
   b.run_cycles(30);
   ASSERT_TRUE(m.finished());
   ASSERT_EQ(m.results().size(), 1u);
   EXPECT_EQ(m.results()[0].resp, Resp::kRetry);
-  EXPECT_EQ(fs.stats().failures, 1u);
-  EXPECT_EQ(fs.stats().ok_writes, 0u);
+  EXPECT_EQ(fs.stats().retries, 1u);
+  EXPECT_EQ(fs.stats().writes, 0u);
 }
 
 TEST(FaultySlave, RetryingMasterEventuallySucceeds) {
@@ -61,8 +56,8 @@ TEST(FaultySlave, RetryingMasterEventuallySucceeds) {
                    {write_op(0x20, 0xBEEF), read_op(0x20)},
                    ScriptedMaster::Options{.retry = true});
   // Every 2nd transfer fails: first write attempt fails, retry succeeds...
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0, .size = 0x1000, .fail_every_n = 2});
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = fail_every(2)});
   b.bus.finalize();
   BusMonitor::Config cfg{.fatal = false};
   BusMonitor mon(&b.top, "mon", b.bus, cfg);
@@ -83,8 +78,8 @@ TEST(FaultySlave, MaxRetriesGivesUp) {
   DefaultMaster dm(&b.top, "dm", b.bus);
   ScriptedMaster m(&b.top, "m", b.bus, {write_op(0x10, 1)},
                    ScriptedMaster::Options{.retry = true, .max_retries = 3});
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0, .size = 0x1000, .fail_every_n = 1});  // always fails
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = fail_every(1)});  // always fails
   b.bus.finalize();
   b.run_cycles(200);
   ASSERT_TRUE(m.finished());
@@ -97,11 +92,8 @@ TEST(FaultySlave, ErrorsAreNotRetried) {
   DefaultMaster dm(&b.top, "dm", b.bus);
   ScriptedMaster m(&b.top, "m", b.bus, {write_op(0x10, 1), read_op(0x14)},
                    ScriptedMaster::Options{.retry = true});
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0,
-                  .size = 0x1000,
-                  .fail_every_n = 2,
-                  .failure = Resp::kError});
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = fail_every(2, Resp::kError)});
   b.bus.finalize();
   b.run_cycles(100);
   ASSERT_TRUE(m.finished());
@@ -120,13 +112,13 @@ TEST(FaultySlave, FailureCadenceIsExact) {
   for (int i = 0; i < 9; ++i) script.push_back(write_op(0x100 + 4 * i, i));
   ScriptedMaster m(&b.top, "m", b.bus, script,
                    ScriptedMaster::Options{.retry = false});
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0, .size = 0x1000, .fail_every_n = 3});
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = fail_every(3)});
   b.bus.finalize();
   b.run_cycles(200);
   ASSERT_TRUE(m.finished());
-  EXPECT_EQ(fs.stats().failures, 3u);   // transfers 3, 6, 9
-  EXPECT_EQ(fs.stats().ok_writes, 6u);
+  EXPECT_EQ(fs.stats().retries, 3u);   // transfers 3, 6, 9
+  EXPECT_EQ(fs.stats().writes, 6u);
 }
 
 TEST(FaultySlave, SplitReworkEventuallySucceeds) {
@@ -137,12 +129,8 @@ TEST(FaultySlave, SplitReworkEventuallySucceeds) {
                    ScriptedMaster::Options{.retry = true});
   // Every 2nd transfer SPLITs: the arbiter masks the master, the slave's
   // resume countdown re-grants it, and the re-issued transfer lands.
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0,
-                  .size = 0x1000,
-                  .fail_every_n = 2,
-                  .failure = Resp::kSplit,
-                  .split_resume_cycles = 3});
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = fail_every(2, Resp::kSplit, 3)});
   b.bus.finalize();
   BusMonitor mon(&b.top, "mon", b.bus, BusMonitor::Config{.fatal = false});
 
@@ -165,19 +153,38 @@ TEST(FaultySlave, SplitRetryExhaustionGivesUp) {
   DefaultMaster dm(&b.top, "dm", b.bus);
   ScriptedMaster m(&b.top, "m", b.bus, {write_op(0x10, 1)},
                    ScriptedMaster::Options{.retry = true, .max_retries = 3});
-  FaultySlave fs(&b.top, "fs", b.bus,
+  MemorySlave fs(&b.top, "fs", b.bus,
                  {.base = 0,
                   .size = 0x1000,
-                  .fail_every_n = 1,  // always SPLITs
-                  .failure = Resp::kSplit,
-                  .split_resume_cycles = 2});
+                  .fault_hook = fail_every(1, Resp::kSplit, 2)});  // always SPLITs
   b.bus.finalize();
   b.run_cycles(300);
   ASSERT_TRUE(m.finished());
   EXPECT_EQ(m.retries(), 3u);
   EXPECT_EQ(m.splits(), 3u);
   EXPECT_EQ(m.results()[0].resp, Resp::kSplit);  // gave up, recorded SPLIT
-  EXPECT_EQ(fs.stats().ok_writes, 0u);
+  EXPECT_EQ(fs.stats().writes, 0u);
+}
+
+TEST(DefaultSlave, BackToBackUnmappedTransfersAllError) {
+  // A pipelined master shows the next unmapped address phase during the
+  // second ERROR cycle; the default slave must accept it at that edge.
+  Bench b;
+  DefaultMaster dm(&b.top, "dm", b.bus);
+  ScriptedMaster m(&b.top, "m", b.bus,
+                   {write_op(0x8000, 1), write_op(0x8004, 2), write_op(0x8008, 3)},
+                   ScriptedMaster::Options{.retry = false});
+  MemorySlave mem(&b.top, "mem", b.bus, {.base = 0, .size = 0x1000});
+  b.bus.finalize();
+  BusMonitor mon(&b.top, "mon", b.bus, BusMonitor::Config{.fatal = false});
+  b.run_cycles(60);
+  ASSERT_TRUE(m.finished());
+  ASSERT_EQ(m.results().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(m.results()[i].resp, Resp::kError) << "op " << i;
+  }
+  EXPECT_EQ(mon.stats().error_responses, 3u);
+  EXPECT_TRUE(mon.violations().empty()) << mon.violations()[0];
 }
 
 TEST(MemorySlave, FaultHookInjectsSplitRework) {
@@ -227,8 +234,8 @@ TEST(FaultySlave, PowerAnalysisSeesRetryTraffic) {
     for (int i = 0; i < 16; ++i) script.push_back(write_op(0x100 + 4 * i, 0xA0 + i));
     ScriptedMaster m(&b.top, "m", b.bus, script,
                      ScriptedMaster::Options{.retry = true});
-    FaultySlave fs(&b.top, "fs", b.bus,
-                   {.base = 0, .size = 0x1000, .fail_every_n = fail_every_n});
+    MemorySlave fs(&b.top, "fs", b.bus,
+                   {.base = 0, .size = 0x1000, .fault_hook = fail_every(fail_every_n)});
     b.bus.finalize();
     power::AhbPowerEstimator est(&b.top, "pwr", b.bus);
     b.run_cycles(400);

@@ -103,6 +103,10 @@ std::vector<RuleCase> cases() {
       {kRuleAddrChangedInWait, wait1, wait2_moved, wait1, wait2_held},
       {kRuleSeqAfterIdle, idle(), with_trans(idle(), Trans::kSeq, 0), idle(),
        with_trans(idle(), Trans::kNonSeq, 0)},
+      // Reported once, not also as a broken burst at the IDLE's address.
+      {kRuleSeqAfterIdle, with_trans(idle(), Trans::kIdle, 0x100),
+       with_trans(idle(), Trans::kSeq, 0x200), with_trans(idle(), Trans::kIdle, 0x100),
+       with_trans(idle(), Trans::kNonSeq, 0x200)},
       {kRuleSeqBreaksBurst, busy(0x100), with_trans(busy(0), Trans::kSeq, 0x108),
        busy(0x100), with_trans(busy(0), Trans::kSeq, 0x104)},
       {kRuleBusyOutsideBurst, idle(), with_trans(idle(), Trans::kBusy, 0),

@@ -1,5 +1,6 @@
 #pragma once
-// Shared fixture pieces for AHB tests: a kernel + clock + bus skeleton.
+// Shared fixture pieces for AHB tests: a kernel + clock + bus skeleton,
+// and the every-Nth fault cadence hook.
 
 #include <memory>
 #include <vector>
@@ -27,5 +28,20 @@ struct Bench {
   sim::Clock clk;
   AhbBus bus;
 };
+
+/// A MemorySlave fault hook that answers every `n`-th accepted transfer
+/// (the n-th, 2n-th, ...) with the two-cycle `resp` instead of completing
+/// it; a SPLIT resumes `split_resume_cycles` later.
+inline FaultHook fail_every(unsigned n, Resp resp = Resp::kRetry,
+                            unsigned split_resume_cycles = 4) {
+  return [=](const FaultQuery& q) {
+    FaultDecision d;
+    if ((q.transfer_index + 1) % n == 0) {
+      d.resp = resp;
+      d.split_resume_cycles = split_resume_cycles;
+    }
+    return d;
+  };
+}
 
 }  // namespace ahbp::ahb::test

@@ -19,9 +19,10 @@
 namespace ahbp::power {
 namespace {
 
-using ahb::FaultySlave;
+using ahb::MemorySlave;
 using ahb::ScriptedMaster;
 using ahb::test::Bench;
+using ahb::test::fail_every;
 using Op = ScriptedMaster::Op;
 
 Op write_op(std::uint32_t addr, std::uint32_t data) {
@@ -405,8 +406,8 @@ TEST(TxnTraceIntegration, RetriedTransferAppearsAsRework) {
   ahb::DefaultMaster dm(&b.top, "dm", b.bus);
   ScriptedMaster m(&b.top, "m", b.bus, {write_op(0x20, 0xBEEF), read_op(0x20)},
                    ScriptedMaster::Options{.retry = true});
-  FaultySlave fs(&b.top, "fs", b.bus,
-                 {.base = 0, .size = 0x1000, .fail_every_n = 2});
+  MemorySlave fs(&b.top, "fs", b.bus,
+                 {.base = 0, .size = 0x1000, .fault_hook = fail_every(2)});
   b.bus.finalize();
   auto est = std::make_unique<AhbPowerEstimator>(
       &b.top, "power", b.bus, AhbPowerEstimator::Config{.txn_trace = true});
